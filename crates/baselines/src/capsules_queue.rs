@@ -268,16 +268,18 @@ mod tests {
 
     #[test]
     fn general_variant_flushes_more() {
-        nvm::tid::set_tid(0);
+        // A tid no other test here uses: its slot counts only this test.
+        let t = 41;
+        nvm::tid::set_tid(t);
         let g = Gen::new();
         let n = Norm::new();
-        g.enqueue(0, 1);
-        n.enqueue(0, 1);
-        let b = nvm::stats::snapshot();
-        g.enqueue(0, 2);
-        let mid = nvm::stats::snapshot();
-        n.enqueue(0, 2);
-        let e = nvm::stats::snapshot();
+        g.enqueue(t, 1);
+        n.enqueue(t, 1);
+        let b = nvm::stats::snapshot_of(t..t + 1);
+        g.enqueue(t, 2);
+        let mid = nvm::stats::snapshot_of(t..t + 1);
+        n.enqueue(t, 2);
+        let e = nvm::stats::snapshot_of(t..t + 1);
         let dg = mid.since(&b);
         let dn = e.since(&mid);
         assert!(

@@ -221,12 +221,14 @@ mod tests {
 
     #[test]
     fn per_op_persistency_cost_is_constant() {
-        nvm::tid::set_tid(0);
+        // A tid no other test here uses: its slot counts only this test.
+        let t = 43;
+        nvm::tid::set_tid(t);
         let q = Q::new();
-        q.enqueue(0, 1);
-        let before = nvm::stats::snapshot();
-        q.enqueue(0, 2);
-        let d = nvm::stats::snapshot().since(&before);
+        q.enqueue(t, 1);
+        let before = nvm::stats::snapshot_of(t..t + 1);
+        q.enqueue(t, 2);
+        let d = nvm::stats::snapshot_of(t..t + 1).since(&before);
         assert!(d.pwb <= 8, "enqueue flushes O(1) words, got {}", d.pwb);
         assert!(d.psync <= 4);
     }

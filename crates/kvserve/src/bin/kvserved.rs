@@ -12,13 +12,17 @@
 //! `--port-file` the bound port is published atomically (write + rename)
 //! once the server is accepting, which doubles as the "recovery finished"
 //! handshake for restart harnesses.
+//!
+//! `--workers` is the number of lanes: process slots (one tid each) that
+//! requests run under, on their connection's thread. `--shards` is the hash
+//! map's shard count.
 
 use kvserve::{Config, Server};
 use std::time::Duration;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: kvserved --path HEAP [--addr A] [--shards N] [--workers N] \
+        "usage: kvserved --path HEAP [--addr A] [--shards N] [--workers LANES] \
          [--heap-bytes N] [--shared] [--port-file F] [--stop-file F]"
     );
     std::process::exit(2);

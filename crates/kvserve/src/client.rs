@@ -81,7 +81,7 @@ pub struct KvClient {
 }
 
 impl KvClient {
-    /// Connects to `addr` as `client_id` (nonzero).
+    /// Connects to `addr` as `client_id` (nonzero, below `u64::MAX`).
     pub fn connect(addr: SocketAddr, client_id: u64) -> io::Result<KvClient> {
         assert_ne!(client_id, 0, "client IDs are nonzero");
         let mut c = KvClient {

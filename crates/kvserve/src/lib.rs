@@ -11,8 +11,9 @@
 //! The crate is three layers:
 //!
 //! * [`proto`] — frames, opcodes, typed error statuses;
-//! * [`server`] — per-shard worker threads, the exactly-once request path,
-//!   seeded SIGKILL crash injection for the conformance suite;
+//! * [`server`] — request lanes (a process slot plus a lock, with the op
+//!   run on the connection thread), the exactly-once request path, seeded
+//!   SIGKILL crash injection for the conformance suite;
 //! * [`client`] — a journaling client that tracks sequence numbers and
 //!   replays unacknowledged requests after reconnect.
 //!

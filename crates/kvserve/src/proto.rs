@@ -72,7 +72,8 @@ impl OpCode {
 pub struct Request {
     /// The operation.
     pub op: OpCode,
-    /// Client identity (nonzero; owns one response-table slot).
+    /// Client identity (nonzero, below `u64::MAX`; owns one
+    /// response-table slot).
     pub client_id: u64,
     /// Per-client sequence number; must be `last_acked` (retry) or
     /// `last_acked + 1` (fresh).
@@ -94,7 +95,7 @@ pub enum Status {
     BadLength = 2,
     /// Unrecognized opcode (non-fatal; the frame was well-formed).
     UnknownOp = 3,
-    /// `client_id` 0 is reserved (non-fatal).
+    /// `client_id` 0 and `u64::MAX` are reserved (non-fatal).
     BadClientId = 4,
     /// `op_seq` is below the client's ack watermark: that response was
     /// already delivered and reclaimed (non-fatal).
@@ -192,7 +193,8 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, Status> {
         return Err(Status::UnknownOp);
     };
     let client_id = u64_at(payload, 2);
-    if client_id == 0 {
+    // 0 is "no client"; u64::MAX is the response table's tombstone.
+    if client_id == 0 || client_id == u64::MAX {
         return Err(Status::BadClientId);
     }
     Ok(Request { op, client_id, op_seq: u64_at(payload, 10), arg: u64_at(payload, 18) })
@@ -309,6 +311,9 @@ mod tests {
         p[5] = 200; // opcode
         assert_eq!(parse_request(&p[4..]), Err(Status::UnknownOp));
         let p = encode_request(&Request { op: OpCode::Get, client_id: 0, op_seq: 1, arg: 0 });
+        assert_eq!(parse_request(&p[4..]), Err(Status::BadClientId));
+        let p =
+            encode_request(&Request { op: OpCode::Put, client_id: u64::MAX, op_seq: 1, arg: 0 });
         assert_eq!(parse_request(&p[4..]), Err(Status::BadClientId));
     }
 

@@ -1,20 +1,25 @@
-//! The KV server: per-shard worker threads over a recoverable [`Store`].
+//! The KV server: request lanes over a recoverable [`Store`].
 //!
 //! # Exactly-once request path
 //!
 //! Connections are accepted on a listener thread; each connection gets a
-//! reader thread that parses frames and routes requests to one of N worker
-//! threads by `hash(client_id) % N` — so all requests of one client
-//! serialize through one worker, which is what makes the dedup check and
-//! the apply a single-threaded sequence per client. Each worker owns a
-//! registered process slot (tid): its in-flight request is tracked by the
-//! paper's per-process recovery slot *and* by the durable op-ID intent
-//! record in the [`ResponseTable`].
+//! thread that parses frames and runs every request itself, inline, on one
+//! of N **lanes** picked by `hash(client_id) % N`. A lane is one of the
+//! paper's processes: a registered process slot (tid) plus a lock. The
+//! connection thread takes the lane's lock, assumes the lane's tid (a
+//! process is an id, not an OS thread — `nvm::tid` resurrects a crashed
+//! process the same way), applies the request, releases the lane and
+//! writes the response. One client always maps to one lane, across
+//! connections too, so the lock makes the dedup check and the apply a
+//! single sequence per client, and it keeps the paper's invariant of at
+//! most one pending operation per process. The in-flight request is
+//! tracked by the lane's per-process recovery slot *and* by the durable
+//! op-ID intent record in the [`ResponseTable`].
 //!
-//! Worker order per request (see `isb::resptable` for the crash-window
-//! argument): foreign-intent (failover) check → dedup check →
-//! `note_invocation` (`CP_q := 0`, persisted) → durable intent record →
-//! structure op → durable response finalize → intent clear → socket
+//! Order per request (see `isb::resptable` for the crash-window argument):
+//! foreign-intent (failover) check → dedup check → `note_invocation`
+//! (`CP_q := 0`, persisted) → durable intent record → structure op →
+//! durable response finalize → intent clear → lane release → socket
 //! acknowledgement. The foreign-intent check precedes even the dedup
 //! read: a dead peer's healer writes the same client slot, and only the
 //! observed absence of its intent proves the slot is quiescent.
@@ -53,7 +58,6 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -76,8 +80,9 @@ pub struct Config {
     pub shared: bool,
     /// Hash-map shard count (power of two).
     pub shards: usize,
-    /// Worker threads (clamped: shared mode has a 8-tid participant band —
-    /// 1 attach/healer tid + at most 7 workers).
+    /// Process slots (lanes) requests run under, each on its own tid
+    /// (clamped: shared mode has a 8-tid participant band — 1
+    /// attach/healer tid + at most 7 lanes).
     pub workers: usize,
     /// Bind address (port 0 picks a free port).
     pub addr: SocketAddr,
@@ -174,32 +179,31 @@ impl KillSpec {
     }
 }
 
-fn maybe_kill(spec: &Option<Arc<KillSpec>>, p: KillPoint) {
+fn maybe_kill(spec: &Option<KillSpec>, p: KillPoint) {
     if let Some(s) = spec {
         s.hit(p);
     }
 }
 
-struct Job {
-    req: Request,
-    reply: mpsc::Sender<Response>,
+/// One of the paper's processes: the tid a request runs under (its
+/// recovery slot, intent slot and per-tid heap state) plus the lock that
+/// keeps at most one operation pending on it.
+struct Lane {
+    tid: usize,
+    busy: Mutex<()>,
 }
 
-/// Per-worker context (deliberately *not* the acceptor's shared state: the
-/// job senders must die with the acceptor side so worker receivers close).
-struct WorkerCtx {
+/// State shared by the acceptor, the connection threads and the healer.
+struct Shared {
     map: Arc<RHashMap<MappedNvm, ARM>>,
     queue: Arc<RQueue<MappedNvm, ARM>>,
     resptab: ResponseTable,
+    /// Every tid this process may run requests under (a foreign intent is
+    /// one outside it).
     own_band: Range<usize>,
-    kill: Option<Arc<KillSpec>>,
-}
-
-/// Connection-side shared state.
-struct Shared {
-    txs: Vec<mpsc::Sender<Job>>,
-    stop: Arc<AtomicBool>,
-    kill: Option<Arc<KillSpec>>,
+    lanes: Vec<Lane>,
+    stop: AtomicBool,
+    kill: Option<KillSpec>,
     conns: Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -209,10 +213,8 @@ struct Shared {
 pub struct Server {
     addr: SocketAddr,
     store: Arc<Store>,
-    stop: Arc<AtomicBool>,
     acceptor: Option<JoinHandle<()>>,
     healer: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
     shared: Arc<Shared>,
 }
 
@@ -223,17 +225,17 @@ impl Server {
     /// the healer's, so don't run structure ops on the calling thread while
     /// the server lives.
     pub fn start(cfg: Config) -> Result<Server, ServeError> {
-        let kill = KillSpec::from_env().map(Arc::new);
+        let kill = KillSpec::from_env();
         nvm::tid::set_tid(0);
         let store = Arc::new(if cfg.shared {
             Store::open_shared_sized(&cfg.path, cfg.heap_bytes)?
         } else {
             Store::open_sized(&cfg.path, cfg.heap_bytes)?
         });
-        // Worker tids: an exclusive heap may use any tids; a shared
+        // Lane tids: an exclusive heap may use any tids; a shared
         // participant is confined to its 8-tid band (first tid = attach +
         // healer).
-        let (base_tid, max_workers) = if cfg.shared {
+        let (base_tid, max_lanes) = if cfg.shared {
             let slot = store.heap().my_participant().expect("registered participant");
             let band = MappedHeap::tid_band(slot);
             nvm::tid::set_tid(band.start);
@@ -241,40 +243,27 @@ impl Server {
         } else {
             (0, nvm::MAX_PROCS - 1)
         };
-        let n_workers = cfg.workers.clamp(1, max_workers);
-        let own_band =
-            if cfg.shared { base_tid..base_tid + 1 + max_workers } else { 0..n_workers + 1 };
+        let n_lanes = cfg.workers.clamp(1, max_lanes);
+        let own_band = if cfg.shared { base_tid..base_tid + 1 + max_lanes } else { 0..n_lanes + 1 };
+        let lanes =
+            (0..n_lanes).map(|l| Lane { tid: base_tid + 1 + l, busy: Mutex::new(()) }).collect();
         let map = store.hashmap::<ARM>(MAP_NAME, cfg.shards)?;
         let queue = store.queue::<ARM>(QUEUE_NAME)?;
         let resptab = store.response_table();
 
-        let stop = Arc::new(AtomicBool::new(false));
-        let mut txs = Vec::new();
-        let mut workers = Vec::new();
-        for w in 0..n_workers {
-            let (tx, rx) = mpsc::channel::<Job>();
-            txs.push(tx);
-            let ctx = WorkerCtx {
-                map: Arc::clone(&map),
-                queue: Arc::clone(&queue),
-                resptab: resptab.clone(),
-                own_band: own_band.clone(),
-                kill: kill.clone(),
-            };
-            let tid = base_tid + 1 + w;
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("kv-worker-{w}"))
-                    .spawn(move || worker_loop(ctx, tid, rx))
-                    .expect("spawn worker"),
-            );
-        }
-
         let listener = TcpListener::bind(cfg.addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let shared =
-            Arc::new(Shared { txs, stop: Arc::clone(&stop), kill, conns: Mutex::new(Vec::new()) });
+        let shared = Arc::new(Shared {
+            map,
+            queue,
+            resptab,
+            own_band,
+            lanes,
+            stop: AtomicBool::new(false),
+            kill,
+            conns: Mutex::new(Vec::new()),
+        });
         let acceptor = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
@@ -284,14 +273,13 @@ impl Server {
         };
         let healer = if cfg.shared {
             let store = Arc::clone(&store);
-            let stop = Arc::clone(&stop);
-            let tid = base_tid;
+            let shared = Arc::clone(&shared);
             Some(
                 std::thread::Builder::new()
                     .name("kv-healer".into())
                     .spawn(move || {
-                        nvm::tid::set_tid(tid);
-                        while !stop.load(Ordering::Acquire) {
+                        nvm::tid::set_tid(base_tid);
+                        while !shared.stop.load(Ordering::Acquire) {
                             // Dead peers resolve under a recovery lease;
                             // losing the lease race to another survivor is
                             // fine (they finish the job).
@@ -304,7 +292,7 @@ impl Server {
         } else {
             None
         };
-        Ok(Server { addr, store, stop, acceptor: Some(acceptor), healer, workers, shared })
+        Ok(Server { addr, store, acceptor: Some(acceptor), healer, shared })
     }
 
     /// The bound address (resolves port 0).
@@ -317,9 +305,9 @@ impl Server {
         &self.store
     }
 
-    /// Graceful shutdown: drain connections, close workers, join all.
+    /// Graceful shutdown: stop accepting, drain connections, join all.
     pub fn stop(mut self) {
-        self.stop.store(true, Ordering::Release);
+        self.shared.stop.store(true, Ordering::Release);
         if let Some(a) = self.acceptor.take() {
             let _ = a.join();
         }
@@ -329,13 +317,6 @@ impl Server {
         let conns = std::mem::take(&mut *self.shared.conns.lock().unwrap());
         for c in conns {
             let _ = c.join();
-        }
-        // Dropping the last `Shared` owner drops the job senders, which
-        // closes the worker receivers.
-        let Server { workers, shared, .. } = self;
-        drop(shared);
-        for w in workers {
-            let _ = w.join();
         }
     }
 }
@@ -350,7 +331,13 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                     .name("kv-conn".into())
                     .spawn(move || conn_loop(stream, sh))
                     .expect("spawn conn");
-                shared.conns.lock().unwrap().push(h);
+                let mut conns = shared.conns.lock().expect("no panic holds the conns lock");
+                // Reap exited connection threads, so a long-running server
+                // holds handles (and stacks) for live connections only.
+                for done in conns.extract_if(.., |c| c.is_finished()) {
+                    let _ = done.join();
+                }
+                conns.push(h);
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(5));
@@ -363,8 +350,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
 fn conn_loop(mut stream: TcpStream, shared: Arc<Shared>) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let stop = Arc::clone(&shared.stop);
-    let stop_fn = move || stop.load(Ordering::Acquire);
+    let stop_fn = || shared.stop.load(Ordering::Acquire);
     loop {
         let frame = match read_frame(&mut stream, &stop_fn) {
             Ok(Some(f)) => f,
@@ -383,15 +369,16 @@ fn conn_loop(mut stream: TcpStream, shared: Arc<Shared>) {
             Err(status) => Response::err(status, 0),
             Ok(req) => {
                 maybe_kill(&shared.kill, KillPoint::Parse);
-                let (tx, rx) = mpsc::channel();
-                let widx = route(req.client_id, shared.txs.len());
-                if shared.txs[widx].send(Job { req, reply: tx }).is_err() {
-                    return; // shutting down
-                }
-                match rx.recv() {
-                    Ok(r) => r,
-                    Err(_) => return, // shutting down
-                }
+                let lane = &shared.lanes[route(req.client_id, shared.lanes.len())];
+                // A lane poisoned by a panic mid-operation closes the
+                // connections of every client routed to it.
+                let Ok(_busy) = lane.busy.lock() else { return };
+                nvm::tid::set_tid(lane.tid);
+                let resp = handle(&shared, lane.tid, &req);
+                // The coalescing set is per thread: every op's closing psync
+                // must have drained it before another thread takes the lane.
+                debug_assert_eq!(nvm::coalesce::pending(), 0);
+                resp
             }
         };
         if stream.write_all(&encode_response(&resp)).is_err() {
@@ -405,22 +392,15 @@ fn conn_loop(mut stream: TcpStream, shared: Arc<Shared>) {
     }
 }
 
-/// Client → worker routing. Deterministic, so one client's requests always
-/// serialize through the same worker (across connections too).
+/// Client → lane routing. Deterministic, so one client's requests always
+/// serialize on the same lane (across connections too).
 fn route(client_id: u64, n: usize) -> usize {
     (client_id.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 33) as usize % n
 }
 
-fn worker_loop(ctx: WorkerCtx, tid: usize, rx: mpsc::Receiver<Job>) {
-    nvm::tid::set_tid(tid);
-    for job in rx {
-        let resp = handle(&ctx, tid, &job.req);
-        let _ = job.reply.send(resp);
-    }
-}
-
 /// One request, applied exactly once (see module docs for the ordering).
-fn handle(ctx: &WorkerCtx, pid: usize, req: &Request) -> Response {
+/// Runs with `pid`'s lane held.
+fn handle(ctx: &Shared, pid: usize, req: &Request) -> Response {
     let Some(client_idx) = ctx.resptab.register(req.client_id) else {
         return Response::err(Status::TableFull, req.op_seq);
     };
@@ -494,4 +474,72 @@ fn handle(ctx: &WorkerCtx, pid: usize, req: &Request) -> Response {
     maybe_kill(&ctx.kill, KillPoint::PreAck);
     nvm::stats::count_kv_requests(1);
     Response { status: Status::Ok, op_seq: req.op_seq, value }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::{encode_request, parse_response};
+    use crate::KvClient;
+
+    /// A server over a fresh heap in its own temp dir (returned for cleanup).
+    fn test_server(name: &str, lanes: usize) -> (Server, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("kvserve_{name}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut cfg = Config::new(dir.join("kv.heap"));
+        cfg.heap_bytes = 8 << 20;
+        cfg.shards = 4;
+        cfg.workers = lanes;
+        (Server::start(cfg).expect("server start"), dir)
+    }
+
+    #[test]
+    fn accept_reaps_finished_connection_threads() {
+        let (server, dir) = test_server("reap", 2);
+        for id in 1..=100 {
+            let mut c = KvClient::connect(server.local_addr(), id).expect("connect");
+            assert!(c.put(id).expect("put"));
+        }
+        // Every connection has closed: once their threads exit, only the
+        // server and the acceptor hold the shared state.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while Arc::strong_count(&server.shared) > 2
+            || !server.shared.conns.lock().unwrap().iter().all(|c| c.is_finished())
+        {
+            assert!(std::time::Instant::now() < deadline, "connection threads did not exit");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // The next accept reaps them all: what remains is the live
+        // connection plus at most the last handle, pushed after the check.
+        let mut live = KvClient::connect(server.local_addr(), 1000).expect("connect");
+        assert!(live.put(1000).expect("put"));
+        let held = server.shared.conns.lock().unwrap().len();
+        assert!(held <= 2, "{held} connection handles held for 1 live connection");
+        drop(live);
+        server.stop();
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn max_client_id_is_rejected_and_every_lane_serves() {
+        let (server, dir) = test_server("maxid", 4);
+        let mut s = TcpStream::connect(server.local_addr()).expect("connect");
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let req = Request { op: OpCode::Put, client_id: u64::MAX, op_seq: 1, arg: 1 };
+        s.write_all(&encode_request(&req)).unwrap();
+        let Some(Frame::Payload(p)) = read_frame(&mut s, &|| false).expect("reply") else {
+            panic!("no reply frame");
+        };
+        assert_eq!(parse_response(&p), Ok(Response::err(Status::BadClientId, 0)));
+        drop(s);
+        let lanes = server.shared.lanes.len();
+        for lane in 0..lanes {
+            let id = (1..).find(|&id| route(id, lanes) == lane).unwrap();
+            let mut c = KvClient::connect(server.local_addr(), id).expect("connect");
+            assert!(c.put(id).expect("put on a lane after the reserved id"), "lane {lane}");
+        }
+        server.stop();
+        let _ = std::fs::remove_dir_all(dir);
+    }
 }

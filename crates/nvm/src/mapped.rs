@@ -3327,10 +3327,12 @@ mod tests {
         assert_eq!(heap.lease_try_claim_for(dead, a), LeaseOutcome::Won { seq: 1 });
 
         // The recoverer itself dies: the lease is stolen with a fresh seq.
-        let before = stats::snapshot();
+        let tids = stats::test_tids::MAPPED_LEASE;
+        tid::set_tid(tids.start);
+        let before = stats::snapshot_of(tids.clone());
         probe.kill(1111);
         assert_eq!(heap.lease_try_claim_for(dead, b), LeaseOutcome::Won { seq: 2 });
-        assert_eq!(stats::snapshot().since(&before).leases_stolen, 1);
+        assert_eq!(stats::snapshot_of(tids).since(&before).leases_stolen, 1);
 
         // Recovery completed: the slot is reclaimed, late claimants see Gone.
         heap.clear_participant(dead);
@@ -3446,14 +3448,15 @@ mod tests {
 
     #[test]
     fn mapped_nvm_counts_like_real() {
-        crate::tid::set_tid(0);
-        let before = stats::snapshot();
+        let tids = stats::test_tids::MAPPED_COUNTS;
+        crate::tid::set_tid(tids.start);
+        let before = stats::snapshot_of(tids.clone());
         let w: PWord<MappedNvm> = PWord::new(9);
         MappedNvm::pwb(&w);
         MappedNvm::pbarrier(&w);
         MappedNvm::psync();
         assert_eq!(w.load(), 9);
-        let d = stats::snapshot().since(&before);
+        let d = stats::snapshot_of(tids).since(&before);
         assert_eq!(d.pwb, 1);
         assert_eq!(d.pbarrier, 1);
         assert_eq!(d.psync, 1);

@@ -337,13 +337,14 @@ mod tests {
 
     #[test]
     fn counting_mode_counts() {
-        tid::set_tid(0);
-        let before = stats::snapshot();
+        let tids = stats::test_tids::PERSIST_COUNTING;
+        tid::set_tid(tids.start);
+        let before = stats::snapshot_of(tids.clone());
         let w: PWord<CountingNvm> = PWord::new(0);
         CountingNvm::pwb(&w);
         CountingNvm::pbarrier(&w);
         CountingNvm::psync();
-        let d = stats::snapshot().since(&before);
+        let d = stats::snapshot_of(tids).since(&before);
         assert_eq!(d.pwb, 1);
         assert_eq!(d.pbarrier, 1);
         assert_eq!(d.psync, 1);
@@ -351,32 +352,34 @@ mod tests {
 
     #[test]
     fn no_persist_counts_nothing() {
-        tid::set_tid(0);
-        let before = stats::snapshot();
+        let tids = stats::test_tids::PERSIST_NONE;
+        tid::set_tid(tids.start);
+        let before = stats::snapshot_of(tids.clone());
         let w: PWord<NoPersist> = PWord::new(0);
         NoPersist::pwb(&w);
         NoPersist::pbarrier(&w);
         NoPersist::psync();
-        let d = stats::snapshot().since(&before);
+        let d = stats::snapshot_of(tids).since(&before);
         assert_eq!(d, stats::Snapshot::default());
     }
 
     #[test]
     fn real_mode_flushes_and_counts() {
-        tid::set_tid(0);
-        let before = stats::snapshot();
+        let tids = stats::test_tids::PERSIST_REAL;
+        tid::set_tid(tids.start);
+        let before = stats::snapshot_of(tids.clone());
         let w: PWord<RealNvm> = PWord::new(7);
         RealNvm::pwb(&w);
         RealNvm::psync();
         assert_eq!(w.load(), 7, "flushing must not corrupt the value");
-        let d = stats::snapshot().since(&before);
+        let d = stats::snapshot_of(tids).since(&before);
         assert_eq!(d.pwb, 1);
         assert_eq!(d.psync, 1);
     }
 
     #[test]
     fn coalesced_pwb_counts_at_issue_and_drains_at_fence() {
-        tid::set_tid(0);
+        tid::set_tid(stats::test_tids::PERSIST_COALESCED.start);
         for_real_and_counting();
 
         fn one<M: Persist>() {
@@ -384,17 +387,18 @@ mod tests {
             #[repr(C, align(64))]
             struct Pair<M: Persist>(PWord<M>, PWord<M>);
             let pair: Pair<M> = Pair(PWord::new(1), PWord::new(2));
+            let snap = || stats::snapshot_of(stats::test_tids::PERSIST_COALESCED);
 
-            let before = stats::snapshot();
+            let before = snap();
             M::pwb_coal(&pair.0);
             M::pwb_coal(&pair.1); // same line: elided
-            let d = stats::snapshot().since(&before);
+            let d = snap().since(&before);
             assert_eq!(d.pwb, 1, "{}: first note counts as a pwb", M::NAME);
             assert_eq!(d.pwb_elided, 1, "{}: duplicate line elided", M::NAME);
             assert_eq!(d.lines_coalesced, 0, "{}: nothing drained yet", M::NAME);
 
             M::psync();
-            let d = stats::snapshot().since(&before);
+            let d = snap().since(&before);
             assert_eq!(d.pwb, 1, "{}: drain adds no pwb", M::NAME);
             assert_eq!(d.lines_coalesced, 1, "{}: one line drained", M::NAME);
             assert_eq!(d.psync, 1);
@@ -403,10 +407,10 @@ mod tests {
 
             // After the drain the same line counts fresh again, and a pfence
             // also drains (ordering would be lost otherwise).
-            let before = stats::snapshot();
+            let before = snap();
             M::pwb_coal(&pair.0);
             M::pfence();
-            let d = stats::snapshot().since(&before);
+            let d = snap().since(&before);
             assert_eq!(d.pwb, 1, "{}", M::NAME);
             assert_eq!(d.lines_coalesced, 1, "{}: pfence drains too", M::NAME);
         }

@@ -261,8 +261,37 @@ impl Snapshot {
 
 /// Sums every process's counters.
 pub fn snapshot() -> Snapshot {
+    sum(&table().slots)
+}
+
+/// Sums the counters of process slots `tids` only: a caller that owns those
+/// tids reads exactly its own events, whatever other threads count
+/// meanwhile (every unregistered thread counts into slot 0).
+pub fn snapshot_of(tids: std::ops::Range<usize>) -> Snapshot {
+    sum(&table().slots[tids])
+}
+
+/// Process slots reserved for the unit tests that assert exact counter
+/// deltas, one set per test: each test runs under its own tids and reads
+/// only those ([`snapshot_of`]), so sibling tests counting in parallel
+/// cannot perturb it. No other unit test uses these tids.
+#[cfg(test)]
+pub(crate) mod test_tids {
+    use std::ops::Range;
+
+    pub const STATS_DIFF: Range<usize> = 32..33;
+    pub const STATS_THREADS: Range<usize> = 33..36;
+    pub const PERSIST_COUNTING: Range<usize> = 36..37;
+    pub const PERSIST_NONE: Range<usize> = 37..38;
+    pub const PERSIST_REAL: Range<usize> = 38..39;
+    pub const PERSIST_COALESCED: Range<usize> = 39..40;
+    pub const MAPPED_COUNTS: Range<usize> = 40..41;
+    pub const MAPPED_LEASE: Range<usize> = 41..42;
+}
+
+fn sum(slots: &[CachePadded<Slot>]) -> Snapshot {
     let mut s = Snapshot::default();
-    for slot in &table().slots {
+    for slot in slots {
         s.pwb += slot.pwb.load(Relaxed);
         s.pbarrier += slot.pbarrier.load(Relaxed);
         s.pbarrier_lines += slot.pbarrier_lines.load(Relaxed);
@@ -315,14 +344,15 @@ mod tests {
 
     #[test]
     fn counters_accumulate_and_diff() {
-        tid::set_tid(0);
-        let before = snapshot();
+        let tids = test_tids::STATS_DIFF;
+        tid::set_tid(tids.start);
+        let before = snapshot_of(tids.clone());
         count_pwb(2);
         count_pbarrier(3);
         count_pfence();
         count_psync();
         count_psync();
-        let d = snapshot().since(&before);
+        let d = snapshot_of(tids).since(&before);
         assert_eq!(d.pwb, 2);
         assert_eq!(d.pbarrier, 1);
         assert_eq!(d.pbarrier_lines, 3);
@@ -332,8 +362,10 @@ mod tests {
 
     #[test]
     fn counters_sum_across_threads() {
-        let before = snapshot();
-        let hs: Vec<_> = (1..4)
+        let tids = test_tids::STATS_THREADS;
+        let before = snapshot_of(tids.clone());
+        let hs: Vec<_> = tids
+            .clone()
             .map(|i| {
                 std::thread::spawn(move || {
                     tid::set_tid(i);
@@ -345,7 +377,7 @@ mod tests {
         for h in hs {
             h.join().unwrap();
         }
-        let d = snapshot().since(&before);
+        let d = snapshot_of(tids).since(&before);
         assert_eq!(d.pwb, 3);
         assert_eq!(d.pbarrier, 3);
     }

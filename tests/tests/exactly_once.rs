@@ -40,11 +40,17 @@
 //!    client's key range and a complete queue drain.
 //!
 //! Matrix: `ISB_KV_SEEDS` seeds (default 2) x all five kill points — 10
-//! seeded SIGKILL rounds per default `cargo test` run.
+//! seeded SIGKILL rounds per default `cargo test` run. One in-process case
+//! drives a single client over two connections at once: its requests must
+//! serialize on the server, whichever connection they arrive on.
 
 use isb_tests::kv::{wait_port, MapClient, QueueClient, KEYS_PER_CLIENT};
-use kvserve::{Config, Server};
+use kvserve::proto::{encode_request, parse_response, read_frame, Frame, OpCode, Request, Status};
+use kvserve::{Config, KvClient, Server};
+use std::io::Write;
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 const MAP_CLIENTS: u64 = 3;
@@ -248,5 +254,72 @@ fn exactly_once_no_crash_control() {
 
     std::fs::write(dir.join("stop"), b"ok").unwrap();
     assert!(child.wait().expect("reap").success());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One client on two connections (in process, no crash): each round both
+/// connections send the same `(op_seq = s, Put(s))` at once. The server must
+/// serialize one client's requests across connections, so exactly one
+/// applies and the other is a dedup hit — both replies are `Ok` and
+/// byte-identical — and afterwards every key is present exactly once.
+#[test]
+fn one_client_two_connections_apply_once() {
+    const CLIENT: u64 = 9;
+    const ROUNDS: u64 = 200;
+    let dir = std::env::temp_dir().join(format!("isb_kv_once_{}_twoconn", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut cfg = Config::new(dir.join("kv.heap"));
+    cfg.heap_bytes = HEAP_BYTES;
+    cfg.shards = 4;
+    cfg.workers = 2;
+    let server = Server::start(cfg).expect("server start");
+    let addr = server.local_addr();
+
+    let barrier = Arc::new(Barrier::new(2));
+    let conns: Vec<_> = (0..2)
+        .map(|_| {
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                let mut s = TcpStream::connect(addr).expect("connect");
+                s.set_nodelay(true).unwrap();
+                s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+                let mut replies = Vec::new();
+                for seq in 1..=ROUNDS {
+                    let req = Request { op: OpCode::Put, client_id: CLIENT, op_seq: seq, arg: seq };
+                    barrier.wait();
+                    s.write_all(&encode_request(&req)).expect("send");
+                    match read_frame(&mut s, &|| false) {
+                        Ok(Some(Frame::Payload(p))) => replies.push(p),
+                        other => panic!("round {seq}: no reply frame: {other:?}"),
+                    }
+                }
+                replies
+            })
+        })
+        .collect();
+    // Requests of one client that ran concurrently may never finish (two
+    // threads on one tid): fail rather than hang.
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    while !conns.iter().all(|h| h.is_finished()) {
+        assert!(std::time::Instant::now() < deadline, "rounds stalled");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let replies: Vec<Vec<Vec<u8>>> = conns.into_iter().map(|h| h.join().unwrap()).collect();
+    for (i, (a, b)) in replies[0].iter().zip(&replies[1]).enumerate() {
+        let seq = i as u64 + 1;
+        assert_eq!(a, b, "round {seq}: the two replies differ");
+        let resp = parse_response(a).expect("well-formed reply");
+        assert_eq!((resp.status, resp.op_seq), (Status::Ok, seq), "round {seq}");
+        assert_eq!(resp.value, isb::engine::RES_TRUE, "round {seq}: a fresh key inserts");
+    }
+
+    let mut check = KvClient::connect(addr, CLIENT + 1).expect("connect");
+    for key in 1..=ROUNDS {
+        assert!(check.del(key).expect("del"), "key {key} missing");
+        assert!(!check.get(key).expect("get"), "key {key} present twice");
+    }
+    drop(check);
+    server.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -28,8 +28,12 @@ use std::time::Duration;
 // Parser properties (no server)
 // ---------------------------------------------------------------------------
 
+/// Requests over every nonzero `client_id`. A uniform draw would never hit
+/// the reserved `u64::MAX`, so a quarter of the cases land on it.
 fn arb_request() -> impl Strategy<Value = Request> {
-    (1..=5u8, 1..u64::MAX, any::<u64>(), any::<u64>()).prop_map(|(op, client_id, op_seq, arg)| {
+    let client_id =
+        (0..4u8, 1..=u64::MAX).prop_map(|(edge, id)| if edge == 0 { u64::MAX } else { id });
+    (1..=5u8, client_id, any::<u64>(), any::<u64>()).prop_map(|(op, client_id, op_seq, arg)| {
         Request { op: OpCode::from_u8(op).unwrap(), client_id, op_seq, arg }
     })
 }
@@ -52,14 +56,16 @@ proptest! {
         }
     }
 
-    /// Encode → parse round-trip is lossless for every valid request.
+    /// Encode → parse round-trip is lossless for every valid request; the
+    /// reserved `client_id` `u64::MAX` gets its typed rejection.
     #[test]
     fn request_roundtrip(req in arb_request()) {
         let frame = encode_request(&req);
         prop_assert_eq!(frame.len(), 4 + REQ_BYTES);
         let len = u32::from_le_bytes(frame[..4].try_into().unwrap()) as usize;
         prop_assert_eq!(len, REQ_BYTES);
-        prop_assert_eq!(parse_request(&frame[4..]), Ok(req));
+        let want = if req.client_id == u64::MAX { Err(Status::BadClientId) } else { Ok(req) };
+        prop_assert_eq!(parse_request(&frame[4..]), want);
     }
 
     /// `read_frame` over arbitrary byte streams: every outcome is a typed
@@ -254,6 +260,14 @@ fn typed_rejections_pinned() {
             let mut p = [0u8; REQ_BYTES];
             p[0] = 1;
             p[1] = 3; // GET with client_id 0
+            (p, Status::BadClientId)
+        },
+        {
+            let mut p = [0u8; REQ_BYTES];
+            p[0] = 1;
+            p[1] = 1; // PUT with client_id u64::MAX (the response table's tombstone)
+            p[2..10].copy_from_slice(&u64::MAX.to_le_bytes());
+            p[10] = 1; // op_seq 1
             (p, Status::BadClientId)
         },
     ];
