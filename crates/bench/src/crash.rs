@@ -148,10 +148,14 @@ macro_rules! impl_recoverable_set {
     // Optional trailing method name: forwards the trait's `scrub` to the
     // structure's own eager-helping scrub (not every structure exposes one).
     ($ty:ty, $name:literal $(, $scrub:ident)?) => {
+        impl_recoverable_set!($ty, $name, Self::with_collector(Collector::disabled()) $(, $scrub)?);
+    };
+    // Explicit constructor expression for the crash run.
+    ($ty:ty, $name:literal, $build:expr $(, $scrub:ident)?) => {
         impl RecoverableSet for $ty {
             const NAME: &'static str = $name;
             fn build_for_crash() -> Self {
-                Self::with_collector(Collector::disabled())
+                $build
             }
             $(
                 fn scrub(&self) {
@@ -190,19 +194,26 @@ impl_recoverable_set!(RList<SimNvm, 0>, "RList", scrub);
 // The BST scrubs too: a failed attempt whose earlier affect cells rolled
 // back past their expected values leaves its later tags for (eager) helping.
 impl_recoverable_set!(RBst<SimNvm, 0>, "RBst", scrub);
-// The sharded map in both persistency placements; `with_collector` builds
-// the default 16 shards, so seeded crashes land in different buckets while
-// all pending descriptors live in the one shared recovery area.
-impl_recoverable_set!(RHashMap<SimNvm, 0>, "RHashMap", scrub);
-impl_recoverable_set!(RHashMap<SimNvm, 1>, "RHashMap-Opt", scrub);
+// The split-ordered map in every persistency placement, started from ONE
+// bucket: the directory doubles as the workload crosses 32 keys per bucket,
+// so seeded crashes also land inside growth and bucket initialization (the
+// tracking-free guard/sentinel inserts), while every pending descriptor
+// lives in the one shared recovery area.
+macro_rules! one_bucket_map {
+    () => {
+        Self::with_shards_and_collector(1, Collector::disabled())
+    };
+}
+impl_recoverable_set!(RHashMap<SimNvm, 0>, "RHashMap", one_bucket_map!(), scrub);
+impl_recoverable_set!(RHashMap<SimNvm, 1>, "RHashMap-Opt", one_bucket_map!(), scrub);
 // The coalescing arms against the same per-word adversary: `SimNvm` keeps its
 // default `pwb_coal = pwb` (a noted line is simply an outstanding word until
 // the next fence — exactly the crash-visibility window coalescing introduces),
 // while the write-backs the arms *elide* (deferred `CP_q := 1`, LP's cleanup
 // untag flushes, the merged enqueue `psync`) genuinely never happen, so the
 // image builder is free to roll those words back and recovery must cope.
-impl_recoverable_set!(RHashMap<SimNvm, 2>, "RHashMap-Coal", scrub);
-impl_recoverable_set!(RHashMap<SimNvm, 3>, "RHashMap-LP", scrub);
+impl_recoverable_set!(RHashMap<SimNvm, 2>, "RHashMap-Coal", one_bucket_map!(), scrub);
+impl_recoverable_set!(RHashMap<SimNvm, 3>, "RHashMap-LP", one_bucket_map!(), scrub);
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SetOp {

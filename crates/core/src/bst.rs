@@ -32,10 +32,10 @@ use crate::recovery::{
     MappedLayout, RecArea, Recovered, SlotOps,
 };
 use crate::tag;
+use nvm::addr_hash::{AddrMap, AddrSet};
 use nvm::mapped::{MapError, MappedHeap, MappedNvm, DEFAULT_HEAP_BYTES};
 use nvm::{PWord, Persist, PersistWords};
 use reclaim::{Collector, Guard};
-use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -278,11 +278,11 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
         loop {
             let s = unsafe { self.search(key) };
             if tag::is_tagged(s.p_info) {
-                unsafe { help::<M, ARM>(tag::ptr_of(s.p_info), false, &g) };
+                unsafe { help::<M, ARM>(tag::ptr_of(s.p_info), &g) };
                 continue;
             }
             if tag::is_tagged(s.l_info) {
-                unsafe { help::<M, ARM>(tag::ptr_of(s.l_info), false, &g) };
+                unsafe { help::<M, ARM>(tag::ptr_of(s.l_info), &g) };
                 continue;
             }
             let l_key = unsafe { (*s.l).key.load() };
@@ -336,7 +336,7 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
                 self.persist_attempt(info, &[internal, new_leaf, l_copy]);
             }
             self.publish(pid, info, &mut published, &g);
-            match unsafe { help::<M, ARM>(info, true, &g) } {
+            match unsafe { help::<M, ARM>(info, &g) } {
                 HelpOutcome::Done => {
                     unsafe { self.retire_node(s.l, &g) };
                     return true;
@@ -368,15 +368,15 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
         loop {
             let s = unsafe { self.search(key) };
             if tag::is_tagged(s.gp_info) {
-                unsafe { help::<M, ARM>(tag::ptr_of(s.gp_info), false, &g) };
+                unsafe { help::<M, ARM>(tag::ptr_of(s.gp_info), &g) };
                 continue;
             }
             if tag::is_tagged(s.p_info) {
-                unsafe { help::<M, ARM>(tag::ptr_of(s.p_info), false, &g) };
+                unsafe { help::<M, ARM>(tag::ptr_of(s.p_info), &g) };
                 continue;
             }
             if tag::is_tagged(s.l_info) {
-                unsafe { help::<M, ARM>(tag::ptr_of(s.l_info), false, &g) };
+                unsafe { help::<M, ARM>(tag::ptr_of(s.l_info), &g) };
                 continue;
             }
             let l_key = unsafe { (*s.l).key.load() };
@@ -409,7 +409,7 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
                 (sib, si, (*sib).key.load(), (*sib).left.load(), (*sib).right.load())
             };
             if tag::is_tagged(sib_info) {
-                unsafe { help::<M, ARM>(tag::ptr_of(sib_info), false, &g) };
+                unsafe { help::<M, ARM>(tag::ptr_of(sib_info), &g) };
                 continue;
             }
             let t = tag::tagged(info as u64);
@@ -436,7 +436,7 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
                 self.persist_attempt(info, &[sib_copy]);
             }
             self.publish(pid, info, &mut published, &g);
-            match unsafe { help::<M, ARM>(info, true, &g) } {
+            match unsafe { help::<M, ARM>(info, &g) } {
                 HelpOutcome::Done => {
                     unsafe {
                         self.retire_node(s.p, &g);
@@ -469,7 +469,7 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
         loop {
             let s = unsafe { self.search(key) };
             if tag::is_tagged(s.l_info) {
-                unsafe { help::<M, ARM>(tag::ptr_of(s.l_info), false, &g) };
+                unsafe { help::<M, ARM>(tag::ptr_of(s.l_info), &g) };
                 continue;
             }
             let res = unsafe { (*s.l).key.load() } == key;
@@ -562,7 +562,7 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
                     let iv = (*n).info.load();
                     if tag::is_tagged(iv) {
                         dirty = true;
-                        help::<M, ARM>(tag::ptr_of(iv), false, &g);
+                        help::<M, ARM>(tag::ptr_of(iv), &g);
                     }
                     if !(*n).is_leaf() {
                         stack.push((*n).left.load() as *mut Node<M>);
@@ -721,7 +721,7 @@ impl<const ARM: u8> MappedLayout for RBst<MappedNvm, ARM> {
 }
 
 impl<const ARM: u8> SlotOps for RBst<MappedNvm, ARM> {
-    fn validate_image(&self, infos: &mut HashSet<u64>) -> Result<(), MapError> {
+    fn validate_image(&self, infos: &mut AddrSet<u64>) -> Result<(), MapError> {
         // Iterative DFS with a step budget (cycle guard); every node is
         // dereferenced only after its whole span passed `in_node`.
         let mut budget = self.heap().bump_granules() + 8;
@@ -763,7 +763,7 @@ impl<const ARM: u8> SlotOps for RBst<MappedNvm, ARM> {
         RBst::try_scrub(self)
     }
 
-    unsafe fn census(&self, live: &mut HashSet<usize>, info_refs: &mut HashMap<usize, u32>) {
+    unsafe fn census(&self, live: &mut AddrSet, info_refs: &mut AddrMap<u32>) {
         let mut stack = vec![self.root];
         while let Some(n) = stack.pop() {
             // SAFETY: quiescent exclusive access post-scrub (caller).

@@ -1,22 +1,39 @@
-//! Sharded, detectably recoverable hash map (set of `u64` keys) built on the
-//! head-parameterized ordered-set core (DESIGN.md §8).
+//! Split-ordered, detectably recoverable hash map (set of `u64` keys) built
+//! on the head-parameterized ordered-set core (DESIGN.md §8).
 //!
-//! `RHashMap` keeps a fixed power-of-two array of bucket heads, each an
-//! independent sorted-list bucket run by [`crate::set_core::SetCore`]. Keys
-//! are routed to a bucket by fibonacci hashing (multiply by 2⁶⁴/φ, take the
-//! top bits), which whitens dense integer key ranges across shards. All
-//! shards share **one** [`RecArea`] — the paper's model allows a single
-//! pending operation per process, regardless of which part of the structure
-//! it touches — and one collector, so `recover_*` needs no shard routing for
-//! the *decision*: the published descriptor carries everything `Help` needs,
-//! and only a `Restart` re-routes through the shard function (with the
-//! original arguments, exactly like the system model's re-invocation).
+//! The durable state is **one** recoverable sorted list run by
+//! [`crate::set_core::SetCore`], ordered by *split-order* keys (Shalev &
+//! Shavit, "Split-Ordered Lists", JACM 2006). A volatile bucket directory
+//! points into that list, so an operation starts its walk at its bucket's
+//! sentinel instead of the head; the directory doubles once the key count
+//! exceeds 32 × buckets, and growing it only inserts sentinels — nothing
+//! migrates, so there is no resize crash window.
 //!
-//! Per-bucket **pointer freshness** (DESIGN.md §4) is unaffected by
-//! sharding: the guarantee is per info/next *cell*, and every cell belongs
-//! to exactly one bucket; operations on different shards touch disjoint
-//! cells and interact only through the shared recovery slots, which keep the
-//! single-pending-op discipline per process.
+//! **Key encoding.** A user key `k ∈ [1, MAX_KEY)` is scrambled by the
+//! bijection `P(k) = k · FIB mod 2⁶²` and stored as `P<<2 | 2`. The list
+//! orders by `P`, so the bucket of `k` at size `2ⁱ` is the low `i` bits of
+//! `bitrev62(P)`. Bucket `b > 0` owns a *sentinel* `bitrev62(b)<<2 | 1` and
+//! a *guard* `bitrev62(b)<<2 | 0` one below it; bucket 0 is the list head.
+//! Every key of bucket `b` (at any size) sorts after its sentinel.
+//!
+//! **Why guards.** `SetCore::insert` copy-replaces its `curr` and retires
+//! it, so an unguarded sentinel would be retired by the first insert just
+//! below it and a directory pointer to it would dangle. No key fits between
+//! a guard and its sentinel, so a guarded sentinel is only ever an
+//! operation's `pred`: it is never deletion-tagged and never retired, and
+//! the guard absorbs the copy-replacements. A directory entry points only
+//! at a sentinel whose guard already precedes it.
+//!
+//! **Bucket initialization** runs only inside `insert`: after marking the
+//! invocation (`CP_q := 0`) it inserts the guard and then the sentinel from
+//! the parent bucket's sentinel with [`SetCore::insert_untracked`], which
+//! leaves the pending operation's `RD_q`/`CP_q` alone — one recovery
+//! record per process, as the paper requires. `find` and `delete` start at
+//! the nearest initialized ancestor and write nothing. The initial `shards`
+//! buckets are built with the map.
+//!
+//! All buckets share **one** [`RecArea`] and one collector; pointer
+//! freshness (DESIGN.md §4) and Op-Recover are those of the single list.
 
 use crate::engine::RES_TRUE;
 use crate::pool::PoolCfg;
@@ -25,25 +42,205 @@ use crate::recovery::{
     SlotOps,
 };
 use crate::set_core::{self, Node, SetCore, SetPools};
+use crate::tag;
+use nvm::addr_hash::{AddrMap, AddrSet};
 use nvm::mapped::{MapError, MappedHeap, MappedNvm, DEFAULT_HEAP_BYTES};
-use nvm::Persist;
+use nvm::{CachePadded, Persist};
 use reclaim::Collector;
-use std::collections::{HashMap, HashSet};
 use std::path::Path;
+use std::sync::atomic::{AtomicIsize, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Default shard count for [`RHashMap::new`].
+/// Default initial bucket count for [`RHashMap::new`].
 pub const DEFAULT_SHARDS: usize = 16;
+
+/// Largest initial bucket count a map may be created with.
+pub const MAX_SHARDS: usize = 1 << 16;
+
+/// User keys lie in `[1, MAX_KEY)`.
+pub const MAX_KEY: u64 = 1 << 62;
 
 /// Superblock structure-kind tag of a mapped `RHashMap`.
 pub const KIND_MAP: u64 = 1;
 
-/// 2⁶⁴ / φ, the fibonacci-hashing multiplier.
+/// Keys per bucket beyond which the directory doubles.
+const LOAD: usize = 32;
+
+/// The directory stops doubling here (a list of 32 · 2⁴⁰ keys).
+const MAX_BUCKETS: usize = 1 << 40;
+
+/// Directory segments: segment 0 holds bucket 0, segment `j ≥ 1` holds
+/// buckets `[2^(j-1), 2^j)`.
+const SEGS: usize = MAX_BUCKETS.trailing_zeros() as usize + 1;
+
+/// 2⁶⁴ / φ, the fibonacci-hashing multiplier (odd, so invertible).
 const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// Sharded, detectably recoverable hash map. `ARM` selects the persistency
-/// placement exactly as for [`crate::list::RList`] (false = "Isb", true =
-/// "Isb-Opt").
+/// `FIB⁻¹ mod 2⁶⁴` (Newton's iteration; each step doubles the good bits).
+const FIB_INV: u64 = {
+    let mut x = FIB; // correct to 3 bits for any odd number
+    let mut i = 0;
+    while i < 5 {
+        x = x.wrapping_mul(2u64.wrapping_sub(FIB.wrapping_mul(x)));
+        i += 1;
+    }
+    x
+};
+
+/// Low two bits of a node key: which kind of node it is.
+const GUARD: u64 = 0;
+const SENTINEL: u64 = 1;
+const USER: u64 = 2;
+
+/// Directory-entry flag: the bucket's stretch of the list held a tagged
+/// node at attach and the first operation starting there scrubs it.
+const SCRUB: u64 = 1;
+
+#[inline]
+fn bitrev62(x: u64) -> u64 {
+    x.reverse_bits() >> 2
+}
+
+/// The list key of user key `k`; panics outside `[1, MAX_KEY)`.
+#[inline]
+fn user_node_key(k: u64) -> u64 {
+    assert!(k != 0 && k < MAX_KEY, "key must be in [1, 2^62), got {k}");
+    (k.wrapping_mul(FIB) & (MAX_KEY - 1)) << 2 | USER
+}
+
+#[inline]
+fn user_key_of(node_key: u64) -> u64 {
+    (node_key >> 2).wrapping_mul(FIB_INV) & (MAX_KEY - 1)
+}
+
+#[inline]
+fn sentinel_key(b: usize) -> u64 {
+    bitrev62(b as u64) << 2 | SENTINEL
+}
+
+#[inline]
+fn guard_key(b: usize) -> u64 {
+    bitrev62(b as u64) << 2 | GUARD
+}
+
+#[inline]
+fn bucket_of_sentinel(key: u64) -> usize {
+    bitrev62(key >> 2) as usize
+}
+
+/// Bucket `b > 0` with its highest set bit cleared: the bucket it split off.
+#[inline]
+fn parent(b: usize) -> usize {
+    b & !(1 << (usize::BITS - 1 - b.leading_zeros()))
+}
+
+/// Guard and sentinel keys of buckets `1..shards`, in list order.
+fn initial_keys(shards: usize) -> Vec<u64> {
+    let mut keys: Vec<u64> = (1..shards).flat_map(|b| [guard_key(b), sentinel_key(b)]).collect();
+    keys.sort_unstable();
+    keys
+}
+
+/// The volatile bucket directory: a fixed table of lazily allocated,
+/// never-moving segments of entries (sentinel address, plus [`SCRUB`]).
+/// Lock-free; entries go from 0 to a sentinel once and never back.
+struct Directory {
+    segs: [AtomicPtr<AtomicU64>; SEGS],
+}
+
+impl Directory {
+    fn new() -> Self {
+        Self { segs: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())) }
+    }
+
+    #[inline]
+    fn locate(b: usize) -> (usize, usize) {
+        if b == 0 {
+            return (0, 0);
+        }
+        let j = (usize::BITS - b.leading_zeros()) as usize;
+        (j, b - (1 << (j - 1)))
+    }
+
+    fn seg_len(j: usize) -> usize {
+        if j == 0 {
+            1
+        } else {
+            1 << (j - 1)
+        }
+    }
+
+    /// Bucket `b`'s entry, if its segment exists.
+    #[inline]
+    fn get(&self, b: usize) -> Option<&AtomicU64> {
+        let (j, off) = Self::locate(b);
+        let seg = self.segs[j].load(Ordering::Acquire);
+        // SAFETY: a published segment holds `seg_len(j)` entries and is
+        // freed only when the directory drops.
+        (!seg.is_null()).then(|| unsafe { &*seg.add(off) })
+    }
+
+    fn get_or_alloc(&self, b: usize) -> &AtomicU64 {
+        if let Some(e) = self.get(b) {
+            return e;
+        }
+        let (j, off) = Self::locate(b);
+        let fresh: Box<[AtomicU64]> = (0..Self::seg_len(j)).map(|_| AtomicU64::new(0)).collect();
+        let fresh = Box::into_raw(fresh) as *mut AtomicU64;
+        let seg = match self.segs[j].compare_exchange(
+            std::ptr::null_mut(),
+            fresh,
+            Ordering::AcqRel,
+            Ordering::Acquire,
+        ) {
+            Ok(_) => fresh,
+            Err(won) => {
+                // SAFETY: ours, never published.
+                drop(unsafe { Self::seg_box(fresh, j) });
+                won
+            }
+        };
+        // SAFETY: as in `get`.
+        unsafe { &*seg.add(off) }
+    }
+
+    /// Every allocated entry with its bucket index.
+    fn for_each(&self, mut f: impl FnMut(usize, &AtomicU64)) {
+        for j in 0..SEGS {
+            let seg = self.segs[j].load(Ordering::Acquire);
+            if seg.is_null() {
+                continue;
+            }
+            let base = if j == 0 { 0 } else { 1 << (j - 1) };
+            for off in 0..Self::seg_len(j) {
+                // SAFETY: as in `get`.
+                f(base + off, unsafe { &*seg.add(off) });
+            }
+        }
+    }
+
+    /// # Safety
+    /// `seg` must be segment `j`'s allocation, owned by the caller.
+    unsafe fn seg_box(seg: *mut AtomicU64, j: usize) -> Box<[AtomicU64]> {
+        unsafe { Box::from_raw(std::ptr::slice_from_raw_parts_mut(seg, Self::seg_len(j))) }
+    }
+}
+
+impl Drop for Directory {
+    fn drop(&mut self) {
+        for j in 0..SEGS {
+            let seg = *self.segs[j].get_mut();
+            if !seg.is_null() {
+                // SAFETY: exclusive access; allocated by `get_or_alloc`.
+                drop(unsafe { Self::seg_box(seg, j) });
+            }
+        }
+    }
+}
+
+/// Split-ordered, detectably recoverable hash map. `ARM` selects the
+/// persistency placement exactly as for [`crate::list::RList`] (false =
+/// "Isb", true = "Isb-Opt").
 ///
 /// # Example: the detectable recovery flow
 ///
@@ -70,23 +267,20 @@ const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 /// an actual process restart: the attach replays Op-Recover for every
 /// process id and reports the decisions in its [`AttachSummary`].
 pub struct RHashMap<M: Persist, const ARM: u8 = 0> {
-    heads: Box<[*mut Node<M>]>,
-    /// Right-shift distance extracting the top `log2(shards)` hash bits.
-    shift: u32,
-    /// Lazy post-attach scrub: shard `s`'s flag is set when attach deferred
-    /// its tag-healing pass. The first operation routed to the shard drains
-    /// it ([`RHashMap::ensure_scrubbed`]); snapshot/invariant entry points
-    /// drain all. Deferral is sound because helping is part of the normal
-    /// operation paths — a leftover tag is healed on first contact either
-    /// way; the flag only bounds *when* the eager pass happens.
-    pending_scrub: Box<[std::sync::atomic::AtomicBool]>,
+    /// The list head: key −∞, bucket 0's sentinel.
+    head: *mut Node<M>,
+    dir: Directory,
+    /// Current bucket count (a power of two); only grows.
+    size: CachePadded<AtomicUsize>,
+    /// User keys this process saw inserted minus deleted (after an attach:
+    /// plus the census). Drives growth only; each process keeps its own.
+    count: CachePadded<AtomicIsize>,
     rec: RecArea<M>,
     // `collector` must drop before `pools` (drop-time drain recycles into
-    // the free lists). ONE pool pair serves every shard: free lists are
-    // per-process, so cross-shard sharing adds no contention.
+    // the free lists).
     collector: Collector,
     pools: SetPools<M>,
-    /// Mapped mode: the persistent heap every node/descriptor/head lives in.
+    /// Mapped mode: the persistent heap every node/descriptor lives in.
     /// `Some` suppresses drop-time teardown — the contents *are* the durable
     /// state the next attach recovers.
     mapped: Option<Arc<MappedHeap>>,
@@ -102,26 +296,26 @@ impl<M: Persist, const ARM: u8> Default for RHashMap<M, ARM> {
 }
 
 impl<M: Persist, const ARM: u8> RHashMap<M, ARM> {
-    /// New empty map with [`DEFAULT_SHARDS`] shards and a reclaiming
+    /// New empty map with [`DEFAULT_SHARDS`] buckets and a reclaiming
     /// collector.
     pub fn new() -> Self {
         Self::with_shards(DEFAULT_SHARDS)
     }
 
-    /// New empty map with `shards` buckets (must be a power of two).
+    /// New empty map with `shards` initial buckets (a power of two).
     pub fn with_shards(shards: usize) -> Self {
         Self::with_shards_and_collector(shards, Collector::new())
     }
 
-    /// New empty map with the given collector and [`DEFAULT_SHARDS`] shards.
-    /// Crash-simulation runs pass [`Collector::disabled`] (a crash must not
-    /// free memory).
+    /// New empty map with the given collector and [`DEFAULT_SHARDS`]
+    /// buckets. Crash-simulation runs pass [`Collector::disabled`] (a crash
+    /// must not free memory).
     pub fn with_collector(collector: Collector) -> Self {
         Self::with_shards_and_collector(DEFAULT_SHARDS, collector)
     }
 
-    /// New empty map with `shards` buckets (power of two) and the given
-    /// collector.
+    /// New empty map with `shards` initial buckets (a power of two) and the
+    /// given collector.
     pub fn with_shards_and_collector(shards: usize, collector: Collector) -> Self {
         Self::with_shards_and_config(shards, collector, PoolCfg::default())
     }
@@ -131,29 +325,54 @@ impl<M: Persist, const ARM: u8> RHashMap<M, ARM> {
         Self::with_shards_and_config(shards, Collector::new(), PoolCfg::boxed())
     }
 
-    /// New empty map with `shards` buckets (power of two), the given
-    /// collector, and pool configuration.
+    /// New empty map with `shards` initial buckets (a power of two, at most
+    /// [`MAX_SHARDS`]), the given collector, and pool configuration.
     pub fn with_shards_and_config(shards: usize, collector: Collector, pool: PoolCfg) -> Self {
         assert!(shards.is_power_of_two(), "shard count must be a power of two, got {shards}");
-        let heads = (0..shards).map(|_| set_core::new_bucket()).collect();
-        // For one shard every key maps to bucket 0; `min(63)` keeps the
-        // shift in range and the mask in `shard_of` does the rest.
-        let shift = (64 - shards.trailing_zeros()).min(63);
+        assert!(shards <= MAX_SHARDS, "at most {MAX_SHARDS} initial buckets, got {shards}");
         let pools = SetPools::new(pool, &collector);
-        Self {
-            heads,
-            shift,
-            pending_scrub: (0..shards).map(|_| std::sync::atomic::AtomicBool::new(false)).collect(),
-            rec: RecArea::new(),
+        let keys = initial_keys(shards);
+        let nodes = set_core::new_chain(None, &keys);
+        let map = Self::assemble(nodes[0], shards, RecArea::new(), collector, pools, None);
+        map.record_sentinels(&keys, &nodes[1..]);
+        map
+    }
+
+    /// A map over the list at `head` whose directory knows bucket 0 only.
+    fn assemble(
+        head: *mut Node<M>,
+        shards: usize,
+        rec: RecArea<M>,
+        collector: Collector,
+        pools: SetPools<M>,
+        mapped: Option<Arc<MappedHeap>>,
+    ) -> Self {
+        let map = Self {
+            head,
+            dir: Directory::new(),
+            size: CachePadded::new(AtomicUsize::new(shards)),
+            count: CachePadded::new(AtomicIsize::new(0)),
+            rec,
             collector,
             pools,
-            mapped: None,
+            mapped,
+        };
+        map.dir.get_or_alloc(0).store(head as u64, Ordering::Release);
+        map
+    }
+
+    /// Records the sentinels among freshly built `nodes` (keyed `keys`).
+    fn record_sentinels(&self, keys: &[u64], nodes: &[*mut Node<M>]) {
+        for (&key, &n) in keys.iter().zip(nodes) {
+            if key & 3 == SENTINEL {
+                self.dir.get_or_alloc(bucket_of_sentinel(key)).store(n as u64, Ordering::Release);
+            }
         }
     }
 
-    /// Number of shards (buckets).
+    /// Current number of buckets.
     pub fn shards(&self) -> usize {
-        self.heads.len()
+        self.size.load(Ordering::Relaxed)
     }
 
     /// The map's collector (for diagnostics).
@@ -161,69 +380,140 @@ impl<M: Persist, const ARM: u8> RHashMap<M, ARM> {
         &self.collector
     }
 
-    /// Fibonacci-hash shard routing: top `log2(shards)` bits of `key · FIB`.
+    /// The core view starting at `start` (the head or a sentinel; the start
+    /// does not matter for [`SetCore::op_recover`], which only reads the
+    /// shared recovery area).
     #[inline]
-    pub fn shard_of(&self, key: u64) -> usize {
-        (key.wrapping_mul(FIB) >> self.shift) as usize & (self.heads.len() - 1)
+    fn core_at(&self, start: *mut Node<M>) -> SetCore<'_, M, ARM> {
+        // SAFETY: `start` is the head or a permanent sentinel of this map's
+        // list; every operation shares the map's recovery area, collector
+        // and pools.
+        unsafe { SetCore::new(start, &self.rec, &self.collector, &self.pools) }
     }
 
-    /// The core view over bucket `shard` (the shard choice does not matter
-    /// for [`SetCore::op_recover`], which only reads the shared recovery
-    /// area).
+    /// The bucket of list key `nk` at the current size.
     #[inline]
-    fn core_at(&self, shard: usize) -> SetCore<'_, M, ARM> {
-        // SAFETY: every head is a live bucket owned by this map; all buckets
-        // share the map's single recovery area, collector and pools.
-        unsafe { SetCore::new(self.heads[shard], &self.rec, &self.collector, &self.pools) }
+    fn bucket_of(&self, nk: u64) -> usize {
+        bitrev62(nk >> 2) as usize & (self.size.load(Ordering::Relaxed) - 1)
     }
 
-    /// Drains a deferred post-attach scrub of `shard`, if one is pending.
-    /// One relaxed load on the hot path; the swap runs at most once per
-    /// shard per attach. Concurrent operations on the shard are fine — the
-    /// eager pass is the same idempotent helping they perform themselves.
+    /// Bucket `b`'s sentinel if this process's directory has it, draining a
+    /// pending post-attach scrub of its stretch first.
     #[inline]
-    fn ensure_scrubbed(&self, shard: usize) {
-        use std::sync::atomic::Ordering;
-        if self.pending_scrub[shard].load(Ordering::Relaxed)
-            && self.pending_scrub[shard].swap(false, Ordering::Acquire)
-        {
-            self.core_at(shard).scrub();
+    fn initialized(&self, b: usize) -> Option<*mut Node<M>> {
+        let e = self.dir.get(b)?;
+        let v = e.load(Ordering::Acquire);
+        if v & SCRUB != 0 {
+            self.scrub_region(e, v);
+        }
+        (v != 0).then_some((v & !SCRUB) as *mut Node<M>)
+    }
+
+    /// Where a read-only walk for bucket `b` starts: its sentinel, or that
+    /// of its nearest initialized ancestor (bucket 0, the head, always is).
+    #[inline]
+    fn start(&self, mut b: usize) -> *mut Node<M> {
+        loop {
+            if let Some(s) = self.initialized(b) {
+                return s;
+            }
+            b = parent(b);
         }
     }
 
-    /// Drains every shard's deferred scrub (quiescent entry points).
+    /// Links bucket `b`'s guard and then its sentinel after the parent's
+    /// sentinel (initializing the parent first if needed) with tracking-free
+    /// inserts, and records the sentinel. Both inserts have completed — the
+    /// link is durable — before the directory entry is set.
+    #[cold]
+    fn init_bucket(&self, b: usize) -> *mut Node<M> {
+        let p = parent(b);
+        let from = self.initialized(p).unwrap_or_else(|| self.init_bucket(p));
+        let core = self.core_at(from);
+        core.insert_untracked(guard_key(b));
+        let s = core.insert_untracked(sentinel_key(b));
+        // A racing initializer found the same permanent sentinel.
+        let _ = self.dir.get_or_alloc(b).compare_exchange(
+            0,
+            s as u64,
+            Ordering::AcqRel,
+            Ordering::Acquire,
+        );
+        s
+    }
+
+    /// Scrubs the stretch of list from the sentinel in entry `e` to the next
+    /// sentinel, once per attach (the entry's [`SCRUB`] flag).
+    #[cold]
+    fn scrub_region(&self, e: &AtomicU64, v: u64) {
+        if e.compare_exchange(v, v & !SCRUB, Ordering::AcqRel, Ordering::Acquire).is_ok() {
+            self.core_at((v & !SCRUB) as *mut Node<M>)
+                .try_scrub_until(|k| k & 3 == SENTINEL && k != set_core::KEY_MAX)
+                .unwrap_or_else(|e| panic!("{e}"));
+        }
+    }
+
+    /// Drains every pending post-attach scrub (quiescent entry points).
     fn drain_pending_scrub(&self) {
-        for shard in 0..self.heads.len() {
-            self.ensure_scrubbed(shard);
-        }
+        self.dir.for_each(|_, e| {
+            let v = e.load(Ordering::Acquire);
+            if v & SCRUB != 0 {
+                self.scrub_region(e, v);
+            }
+        });
     }
 
-    /// Inserts `key`; returns `false` iff it was already present.
+    /// Inserts `key` (in `[1, MAX_KEY)`); returns `false` iff it was
+    /// already present.
     pub fn insert(&self, pid: usize, key: u64) -> bool {
-        let shard = self.shard_of(key);
-        self.ensure_scrubbed(shard);
-        self.core_at(shard).insert(pid, key)
+        let nk = user_node_key(key);
+        let b = self.bucket_of(nk);
+        let from = match self.initialized(b) {
+            Some(s) => s,
+            None => {
+                // The invocation's `CP_q := 0` comes first: a crash inside
+                // the initialization must not leave `CP_q = 1` naming the
+                // previous operation's descriptor.
+                self.rec.mark_invoked(pid);
+                self.init_bucket(b)
+            }
+        };
+        let inserted = self.core_at(from).insert(pid, nk);
+        if inserted {
+            let n = self.count.fetch_add(1, Ordering::Relaxed) + 1;
+            let size = self.size.load(Ordering::Relaxed);
+            if n > (LOAD * size) as isize && size < MAX_BUCKETS {
+                let _ = self.size.compare_exchange(
+                    size,
+                    size * 2,
+                    Ordering::Relaxed,
+                    Ordering::Relaxed,
+                );
+            }
+        }
+        inserted
     }
 
     /// Deletes `key`; returns `false` iff it was absent.
     pub fn delete(&self, pid: usize, key: u64) -> bool {
-        let shard = self.shard_of(key);
-        self.ensure_scrubbed(shard);
-        self.core_at(shard).delete(pid, key)
+        let nk = user_node_key(key);
+        let deleted = self.core_at(self.start(self.bucket_of(nk))).delete(pid, nk);
+        if deleted {
+            self.count.fetch_sub(1, Ordering::Relaxed);
+        }
+        deleted
     }
 
     /// Whether `key` is present.
     pub fn find(&self, pid: usize, key: u64) -> bool {
-        let shard = self.shard_of(key);
-        self.ensure_scrubbed(shard);
-        self.core_at(shard).find(pid, key)
+        let nk = user_node_key(key);
+        self.core_at(self.start(self.bucket_of(nk))).find(pid, nk)
     }
 
     /// `Insert.Recover` (generic Op-Recover on the shared recovery area,
-    /// re-invoking with the original key — and thus the original shard — on
-    /// `Restart`).
+    /// re-invoking with the original key on `Restart`).
     pub fn recover_insert(&self, pid: usize, key: u64) -> bool {
-        match self.core_at(0).op_recover(pid) {
+        match self.core_at(self.head).op_recover(pid) {
             Recovered::Completed(v) => v == RES_TRUE,
             Recovered::Restart => self.insert(pid, key),
         }
@@ -231,7 +521,7 @@ impl<M: Persist, const ARM: u8> RHashMap<M, ARM> {
 
     /// `Delete.Recover`.
     pub fn recover_delete(&self, pid: usize, key: u64) -> bool {
-        match self.core_at(0).op_recover(pid) {
+        match self.core_at(self.head).op_recover(pid) {
             Recovered::Completed(v) => v == RES_TRUE,
             Recovered::Restart => self.delete(pid, key),
         }
@@ -240,63 +530,78 @@ impl<M: Persist, const ARM: u8> RHashMap<M, ARM> {
     /// `Find.Recover`: finds never set `CP_q = 1`, so recovery always
     /// restarts them.
     pub fn recover_find(&self, pid: usize, key: u64) -> bool {
-        match self.core_at(0).op_recover(pid) {
+        match self.core_at(self.head).op_recover(pid) {
             Recovered::Completed(v) => v == RES_TRUE,
             Recovered::Restart => self.find(pid, key),
         }
     }
 
-    /// Completes helping obligations left visible by a crash in any shard
-    /// (resurrected tags of completed operations under the tuned
+    /// Completes helping obligations left visible by a crash anywhere in
+    /// the list (resurrected tags of completed operations under the tuned
     /// placement); call after every process ran its `recover_*`. See
     /// [`crate::set_core::SetCore::scrub`].
     pub fn scrub(&self) {
-        for shard in 0..self.heads.len() {
-            self.pending_scrub[shard].store(false, std::sync::atomic::Ordering::Relaxed);
-            self.core_at(shard).scrub();
-        }
+        self.try_scrub().unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// [`RHashMap::scrub`] with the pass budget surfaced as a typed
-    /// [`AttachError`] instead of a panic (the mapped attach path).
+    /// [`AttachError`] instead of a panic.
     pub fn try_scrub(&self) -> Result<(), AttachError> {
-        for shard in 0..self.heads.len() {
-            self.pending_scrub[shard].store(false, std::sync::atomic::Ordering::Relaxed);
-            self.core_at(shard).try_scrub()?;
-        }
-        Ok(())
+        self.dir.for_each(|_, e| {
+            e.fetch_and(!SCRUB, Ordering::AcqRel);
+        });
+        self.core_at(self.head).try_scrub()
     }
 
-    /// Sorted snapshot of the user keys across all shards (requires
-    /// exclusive access ⇒ quiescence).
+    /// Sorted snapshot of the user keys (requires exclusive access ⇒
+    /// quiescence).
     pub fn snapshot_keys(&mut self) -> Vec<u64> {
         self.drain_pending_scrub();
         let mut out = Vec::new();
-        for shard in 0..self.heads.len() {
-            self.core_at(shard).snapshot_keys_into(&mut out);
+        // SAFETY: exclusive access.
+        unsafe {
+            set_core::for_each_node(self.head, |_, key, _| {
+                if key != set_core::KEY_MAX && key & 3 == USER {
+                    out.push(user_key_of(key));
+                }
+            });
         }
         out.sort_unstable();
         out
     }
 
-    /// Structural invariants of every shard, plus shard-routing consistency:
-    /// each reachable key must live in the bucket the shard function routes
-    /// it to. Panics on violation.
+    /// Structural invariants of the list (sorted, untagged when quiescent)
+    /// and of the directory: bucket 0 is the head, and every other entry
+    /// is a reachable sentinel of its bucket whose guard precedes it.
+    /// Panics on violation.
     pub fn check_invariants(&mut self) {
         self.drain_pending_scrub();
-        for shard in 0..self.heads.len() {
-            self.core_at(shard).check_invariants();
-            let mut keys = Vec::new();
-            self.core_at(shard).snapshot_keys_into(&mut keys);
-            for k in keys {
-                assert_eq!(
-                    self.shard_of(k),
-                    shard,
-                    "key {k} reachable in shard {shard} but routes to {}",
-                    self.shard_of(k)
-                );
-            }
+        self.core_at(self.head).check_invariants();
+        let mut pos: AddrMap<(u64, u64)> = AddrMap::default(); // node → (key, prev key)
+        let mut prev = 0;
+        // SAFETY: exclusive access.
+        unsafe {
+            set_core::for_each_node(self.head, |n, key, _| {
+                pos.insert(n as usize, (key, prev));
+                prev = key;
+            });
         }
+        self.dir.for_each(|b, e| {
+            let v = e.load(Ordering::Acquire);
+            assert_eq!(v & SCRUB, 0, "bucket {b}: scrub still pending");
+            if v == 0 {
+                return;
+            }
+            if b == 0 {
+                assert_eq!(v, self.head as u64, "bucket 0 must be the head");
+                return;
+            }
+            let Some(&(key, before)) = pos.get(&(v as usize)) else {
+                panic!("bucket {b}: directory sentinel {v:#x} is not reachable");
+            };
+            assert_eq!(key, sentinel_key(b), "bucket {b}: entry is not its sentinel");
+            assert_eq!(before, key - 1, "bucket {b}: sentinel not preceded by its guard");
+        });
     }
 }
 
@@ -307,12 +612,13 @@ impl<const ARM: u8> RHashMap<MappedNvm, ARM> {
     ///
     /// On an existing heap this runs the full restart-recovery sequence of
     /// the generic driver ([`crate::recovery::attach_standalone`]): remap,
-    /// bounds-validated graph walk, per-pid Op-Recover replay (decisions in
-    /// the [`AttachSummary`]), scrub, census + sweep.
+    /// bounds-validated list walk, per-pid Op-Recover replay (decisions in
+    /// the [`AttachSummary`]), census + sweep — the census walk also
+    /// rebuilds the bucket directory and the key count.
     ///
     /// The calling thread must be registered ([`nvm::tid::set_tid`]). One
-    /// process attaches a heap at a time; `shards` and `ARM` must match
-    /// the heap's recorded configuration.
+    /// process attaches a heap at a time; `shards` (the initial bucket
+    /// count) and `ARM` must match the heap's recorded configuration.
     pub fn attach(
         path: impl AsRef<Path>,
         shards: usize,
@@ -345,15 +651,17 @@ impl<const ARM: u8> RHashMap<MappedNvm, ARM> {
 impl<const ARM: u8> MappedLayout for RHashMap<MappedNvm, ARM> {
     const KIND: u64 = KIND_MAP;
     const KIND_NAME: &'static str = "hashmap";
-    type Cfg = usize; // shard count
+    type Cfg = usize; // initial bucket count
 
     fn validate_cfg(shards: usize) -> Result<(), AttachError> {
-        if shards.is_power_of_two() {
+        if shards.is_power_of_two() && shards <= MAX_SHARDS {
             Ok(())
         } else {
             Err(AttachError::InvalidCfg {
                 kind: Self::KIND_NAME,
-                reason: format!("shard count must be a power of two, got {shards}"),
+                reason: format!(
+                    "shard count must be a power of two of at most {MAX_SHARDS}, got {shards}"
+                ),
             })
         }
     }
@@ -362,63 +670,42 @@ impl<const ARM: u8> MappedLayout for RHashMap<MappedNvm, ARM> {
         shards as u64 | (ARM as u64) << 32
     }
 
-    fn root_bytes(shards: usize) -> usize {
-        shards * 8 // one bucket-head address per shard
+    fn root_bytes(_shards: usize) -> usize {
+        8 // the list head's address
     }
 
     fn open(env: &AttachEnv, shards: usize, root: *mut u8) -> Result<Self, AttachError> {
         assert!(shards.is_power_of_two(), "shard count must be a power of two, got {shards}");
         let collector = env.collector();
         let pools = SetPools::with_shared_info(env.info_pool(), env.pool_cfg(), &collector);
-        let heads_w = root as *mut u64;
-        let mut heads = Vec::with_capacity(shards);
-        for i in 0..shards {
-            // SAFETY: `shards`-word committed root block, single-threaded.
-            let existing = unsafe { heads_w.add(i).read() };
-            if existing != 0 {
-                heads.push(existing as *mut Node<MappedNvm>);
-            } else {
-                let b = set_core::new_bucket_in(&pools);
-                unsafe { heads_w.add(i).write(b as u64) };
-                heads.push(b);
-            }
+        let heap = Some(Arc::clone(&env.heap));
+        let head_w = root as *mut u64;
+        // SAFETY: committed one-word root block, single-threaded.
+        let existing = unsafe { head_w.read() };
+        if existing != 0 {
+            // The rest of the directory waits for the census walk, which
+            // runs only after the image has been validated.
+            let head = existing as *mut Node<MappedNvm>;
+            return Ok(Self::assemble(head, shards, env.rec_area(), collector, pools, heap));
         }
-        let shift = (64 - shards.trailing_zeros()).min(63);
-        Ok(Self {
-            heads: heads.into_boxed_slice(),
-            shift,
-            pending_scrub: (0..shards).map(|_| std::sync::atomic::AtomicBool::new(false)).collect(),
-            rec: env.rec_area(),
-            collector,
-            pools,
-            mapped: Some(Arc::clone(&env.heap)),
-        })
+        // A private chain, linked into the root in one word: a kill before
+        // the write leaves the root empty and the next open builds it again.
+        let keys = initial_keys(shards);
+        let nodes = set_core::new_chain(Some(&pools), &keys);
+        unsafe { head_w.write(nodes[0] as u64) };
+        let map = Self::assemble(nodes[0], shards, env.rec_area(), collector, pools, heap);
+        map.record_sentinels(&keys, &nodes[1..]);
+        Ok(map)
     }
 }
 
 impl<const ARM: u8> SlotOps for RHashMap<MappedNvm, ARM> {
-    fn validate_image(&self, infos: &mut HashSet<u64>) -> Result<(), MapError> {
-        for shard in 0..self.heads.len() {
-            self.validate_unit(shard, infos)?;
-        }
-        Ok(())
-    }
-
-    // Attach parallelism: each bucket is an independent work unit — the
-    // buckets partition every node and cell, so per-shard validation and
-    // census walks never touch the same memory.
-    fn work_units(&self) -> usize {
-        self.heads.len()
-    }
-
-    fn validate_unit(&self, unit: usize, infos: &mut HashSet<u64>) -> Result<(), MapError> {
+    fn validate_image(&self, infos: &mut AddrSet<u64>) -> Result<(), MapError> {
         let max_nodes = self.heap().bump_granules() + 4;
         // SAFETY: `in_node` guarantees whole-node spans inside the mapping
         // for every dereference.
-        unsafe {
-            set_core::validate_bucket(self.heads[unit], &|a| self.in_node(a), max_nodes, infos)
-        }
-        .map_err(|addr| MapError::CorruptPointer { addr })
+        unsafe { set_core::validate_bucket(self.head, &|a| self.in_node(a), max_nodes, infos) }
+            .map_err(|addr| MapError::CorruptPointer { addr })
     }
 
     fn valid_install(&self, addr: u64) -> bool {
@@ -426,35 +713,42 @@ impl<const ARM: u8> SlotOps for RHashMap<MappedNvm, ARM> {
     }
 
     fn try_scrub(&self) -> Result<(), AttachError> {
-        // Deferred: mark every shard pending instead of an O(structure)
-        // eager pass during attach. Sound because (a) runtime operations
-        // help any tagged descriptor they encounter — the eager pass is the
-        // same idempotent helping, merely batched — and (b) the census below
-        // counts descriptor references through *tagged* cells too
-        // (`census_bucket` untags before counting), so a descriptor kept
-        // alive only by an unscrubbed tag survives the sweep.
-        for flag in self.pending_scrub.iter() {
-            flag.store(true, std::sync::atomic::Ordering::Release);
-        }
+        // Deferred: the census below flags each bucket whose stretch holds
+        // a tagged node, and the first operation starting there scrubs just
+        // that stretch. Sound because (a) runtime operations help any
+        // tagged descriptor they encounter — the eager pass is the same
+        // idempotent helping, merely batched — and (b) the census counts
+        // descriptor references through *tagged* cells too (`census_node`
+        // untags before counting), so a descriptor kept alive only by an
+        // unscrubbed tag survives the sweep.
         Ok(())
     }
 
-    unsafe fn census(&self, live: &mut HashSet<usize>, info_refs: &mut HashMap<usize, u32>) {
-        for shard in 0..self.heads.len() {
-            // SAFETY: forwarded contract.
-            unsafe { self.census_unit(shard, live, info_refs) };
+    unsafe fn census(&self, live: &mut AddrSet, info_refs: &mut AddrMap<u32>) {
+        let (mut users, mut top, mut region, mut prev) = (0isize, 0usize, 0usize, 0u64);
+        // SAFETY: quiescent exclusive access over a validated image (caller).
+        unsafe {
+            set_core::for_each_node(self.head, |n, key, info| {
+                set_core::census_node(n, info, live, info_refs);
+                if key != set_core::KEY_MAX && key & 3 == SENTINEL && prev == key - 1 {
+                    region = bucket_of_sentinel(key);
+                    top = top.max(region);
+                    self.dir.get_or_alloc(region).store(n as u64, Ordering::Release);
+                } else if key != set_core::KEY_MAX && key & 3 == USER {
+                    users += 1;
+                }
+                if tag::is_tagged(info) {
+                    self.dir.get_or_alloc(region).fetch_or(SCRUB, Ordering::AcqRel);
+                }
+                prev = key;
+            });
         }
-    }
-
-    unsafe fn census_unit(
-        &self,
-        unit: usize,
-        live: &mut HashSet<usize>,
-        info_refs: &mut HashMap<usize, u32>,
-    ) {
-        // SAFETY: quiescent exclusive access (caller); units are disjoint
-        // buckets.
-        unsafe { set_core::census_bucket(self.heads[unit], live, info_refs) };
+        self.count.store(users, Ordering::Relaxed);
+        let mut size = self.shards().max((top + 1).next_power_of_two());
+        while users > (LOAD * size) as isize && size < MAX_BUCKETS {
+            size *= 2;
+        }
+        self.size.store(size, Ordering::Relaxed);
     }
 
     fn each_cached(&mut self, f: &mut dyn FnMut(usize)) {
@@ -487,17 +781,13 @@ impl<M: Persist, const ARM: u8> Drop for RHashMap<M, ARM> {
             // they drop, and everything else stays for the next attach.
             return;
         }
-        // Quiescent teardown, as for `RList` but walking every shard: free
-        // the deduplicated union of {reachable across all buckets} ∪
-        // {parked} ∪ {published descriptors} exactly once (the shared
-        // collector and recovery area are scanned once, not per shard).
+        // Quiescent teardown, as for `RList`: free the deduplicated union of
+        // {reachable} ∪ {parked} ∪ {published descriptors} exactly once.
         let mut grave: set_core::Grave =
             self.collector.take_parked().into_iter().map(|(p, f)| (p as usize, f)).collect();
         self.rec.each_published(|rd| set_core::grave_published_info::<M>(&mut grave, rd));
         unsafe {
-            for &head in self.heads.iter() {
-                set_core::grave_scan_bucket(head, &mut grave);
-            }
+            set_core::grave_scan_bucket(self.head, &mut grave);
             set_core::free_grave(grave);
         }
     }
@@ -537,16 +827,84 @@ mod tests {
             let map: RHashMap<CountingNvm> = RHashMap::with_shards(shards);
             let mut hit = vec![false; shards];
             for k in 1..=4096u64 {
-                let s = map.shard_of(k);
-                assert!(s < shards);
-                assert_eq!(s, map.shard_of(k), "routing must be deterministic");
-                hit[s] = true;
+                let nk = user_node_key(k);
+                let b = map.bucket_of(nk);
+                assert!(b < shards);
+                assert_eq!(b, map.bucket_of(nk), "routing must be deterministic");
+                // Every key sorts after its bucket's sentinel and before the
+                // sentinel of the next bucket at any larger size.
+                assert!(b == 0 || nk > sentinel_key(b));
+                hit[b] = true;
             }
-            // Fibonacci hashing must actually spread a dense key range.
-            assert!(hit.iter().all(|&h| h), "{shards} shards: some shard never hit");
+            // The scramble must actually spread a dense key range.
+            assert!(hit.iter().all(|&h| h), "{shards} buckets: some bucket never hit");
         }
     }
 
+    #[test]
+    fn key_encoding_round_trips_and_orders_buckets() {
+        for k in (1..=5000u64).chain([MAX_KEY - 1, MAX_KEY / 2, 1 << 40]) {
+            let nk = user_node_key(k);
+            assert_eq!(nk & 3, USER);
+            assert_eq!(user_key_of(nk), k, "key {k} must decode from its node key");
+        }
+        for b in 1..1024usize {
+            let s = sentinel_key(b);
+            assert_eq!(bucket_of_sentinel(s), b);
+            assert!(sentinel_key(parent(b)) < s || parent(b) == 0);
+            // No user key fits between a guard and its sentinel.
+            assert_eq!(guard_key(b), s - 1);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "key must be in [1, 2^62)")]
+    fn out_of_range_key_rejected() {
+        let _gate = crate::counters::gate_shared();
+        nvm::tid::set_tid(0);
+        let map = H::with_shards(2);
+        map.insert(0, MAX_KEY);
+    }
+
+    #[test]
+    fn directory_grows_and_walks_stay_short() {
+        let _gate = crate::counters::gate_shared();
+        nvm::tid::set_tid(0);
+        let mut map = H::with_shards(1);
+        let n = 20_000u64;
+        for k in 1..=n {
+            assert!(map.insert(0, k));
+        }
+        // 32 keys per bucket at most, once the directory caught up.
+        assert!(map.shards() >= (n as usize).div_ceil(LOAD), "{} buckets", map.shards());
+        assert!(map.shards() <= 2 * (n as usize).div_ceil(LOAD), "{} buckets", map.shards());
+        for k in 1..=n {
+            assert!(map.find(0, k), "key {k}");
+        }
+        assert!(!map.find(0, n + 1));
+        map.check_invariants();
+        assert_eq!(map.snapshot_keys(), (1..=n).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn bucket_initialization_leaves_the_recovery_record_alone() {
+        let _gate = crate::counters::gate_shared();
+        nvm::tid::set_tid(0);
+        let map = H::with_shards(1);
+        for k in 1..=33u64 {
+            assert!(map.insert(0, k));
+        }
+        assert_eq!(map.shards(), 2);
+        // The next insert routed to bucket 1 initializes it: its two
+        // structural inserts run untracked, so recovery of the user insert
+        // still reports that insert's own response.
+        let k = (100..).find(|&k| map.bucket_of(user_node_key(k)) == 1).unwrap();
+        assert!(map.dir.get(1).is_none_or(|e| e.load(Ordering::Relaxed) == 0));
+        assert!(map.insert(0, k));
+        assert!(map.dir.get(1).unwrap().load(Ordering::Relaxed) != 0);
+        assert!(map.recover_insert(0, k), "recovery must return the user insert's response");
+        assert!(!map.insert(0, k));
+    }
     #[test]
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_shards_rejected() {
@@ -649,7 +1007,9 @@ mod tests {
         let nodes0 = crate::counters::live_nodes();
         let infos0 = crate::counters::live_infos();
         {
-            let map = Arc::new(H::with_shards(4));
+            // One initial bucket and a key range that crosses the growth
+            // threshold several times, so buckets initialize under churn.
+            let map = Arc::new(H::with_shards(1));
             let hs: Vec<_> = (0..4)
                 .map(|t| {
                     let map = Arc::clone(&map);
@@ -657,9 +1017,9 @@ mod tests {
                         use rand::{Rng, SeedableRng};
                         nvm::tid::set_tid(t);
                         let mut rng = rand::rngs::StdRng::seed_from_u64(900 + t as u64);
-                        for _ in 0..1500 {
-                            let k = rng.gen_range(1..48u64);
-                            if rng.gen_bool(0.5) {
+                        for _ in 0..3000 {
+                            let k = rng.gen_range(1..400u64);
+                            if rng.gen_bool(0.6) {
                                 map.insert(t, k);
                             } else {
                                 map.delete(t, k);
@@ -671,7 +1031,12 @@ mod tests {
             for h in hs {
                 h.join().unwrap();
             }
-            drop(Arc::into_inner(map).unwrap());
+            let mut map = Arc::into_inner(map).unwrap();
+            assert!(map.shards() > 1, "the directory never grew");
+            // Every directory entry is a reachable, untagged sentinel right
+            // after its guard: no sentinel was ever copy-replaced or deleted.
+            map.check_invariants();
+            drop(map);
         }
         assert_eq!(crate::counters::live_nodes(), nodes0, "node leak/double-free");
         assert_eq!(crate::counters::live_infos(), infos0, "info leak/double-free");

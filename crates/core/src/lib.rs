@@ -18,9 +18,9 @@
 //! * [`list::RList`] — detectably recoverable sorted linked list (paper §4),
 //!   the one-bucket instantiation of the head-parameterized ordered-set core
 //!   in [`set_core`].
-//! * [`hashmap::RHashMap`] — sharded, detectably recoverable hash map: a
-//!   power-of-two array of [`set_core`] buckets sharing one recovery area
-//!   and one collector (DESIGN.md §8).
+//! * [`hashmap::RHashMap`] — split-ordered, detectably recoverable hash
+//!   map: one [`set_core`] list with permanent, guarded bucket sentinels and
+//!   a volatile bucket directory that grows (DESIGN.md §8).
 //! * [`queue::RQueue`] — ISB-tracked MS-queue (paper §5 / supplementary B.2).
 //! * [`bst::RBst`] — detectably recoverable external BST (paper §6).
 //! * [`exchanger::RExchanger`] — detectably recoverable exchanger (paper §6).

@@ -7,7 +7,8 @@
 //! [`SetCore`] with exactly the same persistency placement the pre-extraction
 //! list had (asserted bit-for-bit by the `persist_placement` regression
 //! test). The algorithm documentation lives in [`crate::set_core`]; the
-//! sharded multi-bucket instantiation is [`crate::hashmap::RHashMap`].
+//! split-ordered instantiation, whose operations start at bucket sentinels,
+//! is [`crate::hashmap::RHashMap`].
 
 use crate::engine::RES_TRUE;
 use crate::pool::PoolCfg;
@@ -16,10 +17,10 @@ use crate::recovery::{
     SlotOps,
 };
 use crate::set_core::{self, SetCore, SetPools};
+use nvm::addr_hash::{AddrMap, AddrSet};
 use nvm::mapped::{MapError, MappedHeap, MappedNvm, DEFAULT_HEAP_BYTES};
 use nvm::Persist;
 use reclaim::Collector;
-use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -99,7 +100,13 @@ impl<M: Persist, const ARM: u8> RList<M, ARM> {
     /// New empty list with the given collector and pool configuration.
     pub fn with_config(collector: Collector, pool: PoolCfg) -> Self {
         let pools = SetPools::new(pool, &collector);
-        Self { head: set_core::new_bucket(), rec: RecArea::new(), collector, pools, mapped: None }
+        Self {
+            head: set_core::new_chain(None, &[])[0],
+            rec: RecArea::new(),
+            collector,
+            pools,
+            mapped: None,
+        }
     }
 
     /// The list's collector (for diagnostics).
@@ -235,7 +242,7 @@ impl<const ARM: u8> MappedLayout for RList<MappedNvm, ARM> {
         // SAFETY: committed 8-byte root block, single-threaded attach.
         let head = unsafe {
             if root_w.read() == 0 {
-                let b = set_core::new_bucket_in(&pools);
+                let b = set_core::new_chain(Some(&pools), &[])[0];
                 root_w.write(b as u64);
                 nvm::mapped::MappedNvm::pbarrier(&*(root_w as *const nvm::PWord<MappedNvm>));
                 b
@@ -254,7 +261,7 @@ impl<const ARM: u8> MappedLayout for RList<MappedNvm, ARM> {
 }
 
 impl<const ARM: u8> SlotOps for RList<MappedNvm, ARM> {
-    fn validate_image(&self, infos: &mut HashSet<u64>) -> Result<(), MapError> {
+    fn validate_image(&self, infos: &mut AddrSet<u64>) -> Result<(), MapError> {
         let max_nodes = self.heap().bump_granules() + 4;
         // SAFETY: `in_node` guarantees whole-node spans inside the mapping
         // for every dereference.
@@ -270,7 +277,7 @@ impl<const ARM: u8> SlotOps for RList<MappedNvm, ARM> {
         RList::try_scrub(self)
     }
 
-    unsafe fn census(&self, live: &mut HashSet<usize>, info_refs: &mut HashMap<usize, u32>) {
+    unsafe fn census(&self, live: &mut AddrSet, info_refs: &mut AddrMap<u32>) {
         // SAFETY: quiescent exclusive access post-scrub (caller).
         unsafe { set_core::census_bucket(self.head, live, info_refs) };
     }

@@ -423,6 +423,8 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
     static LIVE: AtomicUsize = AtomicUsize::new(0);
+    /// Serializes the tests: each asserts exact `LIVE` deltas.
+    static LIVE_GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
     struct Obj(#[allow(dead_code)] u64);
     impl PoolItem for Obj {
@@ -439,6 +441,7 @@ mod tests {
 
     #[test]
     fn take_give_reuses_addresses_immediately() {
+        let _live = LIVE_GATE.lock().unwrap_or_else(|e| e.into_inner());
         nvm::tid::set_tid(0);
         let c = Collector::new();
         let g = c.pin();
@@ -452,6 +455,7 @@ mod tests {
 
     #[test]
     fn passthrough_give_retires_through_ebr() {
+        let _live = LIVE_GATE.lock().unwrap_or_else(|e| e.into_inner());
         nvm::tid::set_tid(0);
         let c = Collector::new();
         let pool: Pool<Obj> = Pool::new(false, 64);
@@ -472,6 +476,7 @@ mod tests {
         // Crash-sim discipline: a disabled collector must PARK passthrough
         // gives (freeing registered words mid-scenario corrupts the crash
         // image builder).
+        let _live = LIVE_GATE.lock().unwrap_or_else(|e| e.into_inner());
         nvm::tid::set_tid(0);
         let mut c = Collector::disabled();
         let pool: Pool<Obj> = Pool::new(false, 64);
@@ -493,6 +498,7 @@ mod tests {
 
     #[test]
     fn retire_recycles_only_after_epoch_advances() {
+        let _live = LIVE_GATE.lock().unwrap_or_else(|e| e.into_inner());
         nvm::tid::set_tid(0);
         let c = Collector::new();
         let mut pool: Pool<Obj> = Pool::new(true, 64);
@@ -513,6 +519,7 @@ mod tests {
 
     #[test]
     fn capacity_bounds_the_free_list() {
+        let _live = LIVE_GATE.lock().unwrap_or_else(|e| e.into_inner());
         nvm::tid::set_tid(0);
         let c = Collector::new();
         let g = c.pin();
@@ -528,6 +535,7 @@ mod tests {
 
     #[test]
     fn pool_drop_frees_idle_objects() {
+        let _live = LIVE_GATE.lock().unwrap_or_else(|e| e.into_inner());
         nvm::tid::set_tid(0);
         let live0 = LIVE.load(Relaxed);
         {

@@ -50,18 +50,23 @@ use crate::recovery::{
     MappedLayout, RecArea, Recovered, SlotOps,
 };
 use crate::tag;
+use nvm::addr_hash::{AddrMap, AddrSet};
 use nvm::mapped::{MapError, MappedHeap, MappedNvm, DEFAULT_HEAP_BYTES};
 use nvm::{PWord, Persist, PersistWords};
 use reclaim::{Collector, Guard};
-use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::Arc;
 
 /// Superblock structure-kind tag of a mapped `RQueue`.
 pub const KIND_QUEUE: u64 = 2;
 
-/// A queue node.
-#[repr(C)]
+/// Enqueued values lie in `[0, MAX_VALUE)`: a dequeue's response encodes
+/// its value as `v + RES_VAL_BASE` in one word.
+pub const MAX_VALUE: u64 = u64::MAX - RES_VAL_BASE;
+
+/// A queue node. Aligned to 32 bytes so it never straddles a 64-byte
+/// cache line (one line per node write-back, wherever it is allocated).
+#[repr(C, align(32))]
 pub struct Node<M: Persist> {
     val: PWord<M>,
     next: PWord<M>,
@@ -291,9 +296,9 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
         }
     }
 
-    /// Enqueues `v` (always succeeds).
+    /// Enqueues `v` (always succeeds); `v` must be below [`MAX_VALUE`].
     pub fn enqueue(&self, pid: usize, v: u64) {
-        assert!(v < u64::MAX - RES_VAL_BASE, "value too large for result encoding");
+        assert!(v < MAX_VALUE, "value too large for result encoding");
         // ONE pin covers the whole operation (see set_core::insert).
         let g = self.collector.pin();
         let prev = self.rec.begin::<ARM>(pid);
@@ -305,7 +310,7 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
         loop {
             let (last, last_info, walk_start) = unsafe { self.find_last() };
             if tag::is_tagged(last_info) {
-                unsafe { help::<M, ARM>(tag::ptr_of(last_info), false, &g) };
+                unsafe { help::<M, ARM>(tag::ptr_of(last_info), &g) };
                 continue;
             }
             unsafe {
@@ -337,7 +342,7 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
                 }
             }
             self.publish(pid, info, &mut published, &g);
-            match unsafe { help::<M, ARM>(info, true, &g) } {
+            match unsafe { help::<M, ARM>(info, &g) } {
                 HelpOutcome::Done => {
                     // Swing the tail hint; newnd's linkage is durable by now.
                     // Using the walk's starting value also heals a hint left
@@ -375,11 +380,11 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
             let s_info = unsafe { (*s).info.load() };
             let f = unsafe { (*s).next.load() };
             if tag::is_tagged(h_info) {
-                unsafe { help::<M, ARM>(tag::ptr_of(h_info), false, &g) };
+                unsafe { help::<M, ARM>(tag::ptr_of(h_info), &g) };
                 continue;
             }
             if tag::is_tagged(s_info) {
-                unsafe { help::<M, ARM>(tag::ptr_of(s_info), false, &g) };
+                unsafe { help::<M, ARM>(tag::ptr_of(s_info), &g) };
                 continue;
             }
             if f == 0 {
@@ -432,7 +437,7 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
                 }
             }
             self.publish(pid, info, &mut published, &g);
-            match unsafe { help::<M, ARM>(info, true, &g) } {
+            match unsafe { help::<M, ARM>(info, &g) } {
                 HelpOutcome::Done => {
                     // Never leave the tail hint pointing at the retired sentinel.
                     let _ = self.head.tail.cas(s as u64, f);
@@ -527,14 +532,14 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
                 let hv = self.head.info.load();
                 if tag::is_tagged(hv) {
                     dirty = true;
-                    help::<M, ARM>(tag::ptr_of(hv), false, &g);
+                    help::<M, ARM>(tag::ptr_of(hv), &g);
                 }
                 let mut n = self.head.ptr.load() as *mut Node<M>;
                 while !n.is_null() {
                     let iv = (*n).info.load();
                     if tag::is_tagged(iv) {
                         dirty = true;
-                        help::<M, ARM>(tag::ptr_of(iv), false, &g);
+                        help::<M, ARM>(tag::ptr_of(iv), &g);
                     }
                     n = (*n).next.load() as *mut Node<M>;
                 }
@@ -668,7 +673,7 @@ impl<const ARM: u8> MappedLayout for RQueue<MappedNvm, ARM> {
 }
 
 impl<const ARM: u8> SlotOps for RQueue<MappedNvm, ARM> {
-    fn validate_image(&self, infos: &mut HashSet<u64>) -> Result<(), MapError> {
+    fn validate_image(&self, infos: &mut AddrSet<u64>) -> Result<(), MapError> {
         // No dereference below leaves the mapping (whole-node spans), and
         // the chain must terminate within the heap's block count.
         let mut budget = self.heap().bump_granules() + 4;
@@ -718,7 +723,7 @@ impl<const ARM: u8> SlotOps for RQueue<MappedNvm, ARM> {
         self.heal_tail();
     }
 
-    unsafe fn census(&self, live: &mut HashSet<usize>, info_refs: &mut HashMap<usize, u32>) {
+    unsafe fn census(&self, live: &mut AddrSet, info_refs: &mut AddrMap<u32>) {
         let mut bump = |v: u64| {
             let p = tag::untagged(v) as usize;
             if p != 0 {

@@ -297,7 +297,7 @@ pub unsafe fn op_recover<M: Persist, const ARM: u8>(
     }
     let info = crate::tag::ptr_of::<Info<M>>(rd);
     unsafe {
-        let _ = crate::engine::help::<M, ARM>(info, true, guard);
+        let _ = crate::engine::help::<M, ARM>(info, guard);
         let res = M::load(&(*info).result);
         if res != crate::engine::RES_BOT {
             Recovered::Completed(res)
@@ -425,9 +425,9 @@ pub mod rootkeys {
     pub const RESPTAB: u64 = 0x5245_5350; // "RESP"
 }
 
+use nvm::addr_hash::{AddrMap, AddrSet};
 use nvm::mapped::{MapError, MappedHeap, MappedNvm};
 use reclaim::Collector;
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Typed failures of the mapped attach path ([`MappedLayout`] driver and
@@ -634,7 +634,7 @@ pub trait SlotOps: Send + Sync {
     /// descriptors are only *collected* into `infos` (the driver
     /// range-checks them with [`validate_infos`]). No pointer may be
     /// dereferenced before its span check. Typed error on violation.
-    fn validate_image(&self, infos: &mut HashSet<u64>) -> Result<(), MapError>;
+    fn validate_image(&self, infos: &mut AddrSet<u64>) -> Result<(), MapError>;
 
     /// Number of independent work units the parallel attach driver may
     /// split this structure's validation and census into (e.g. one per
@@ -648,7 +648,7 @@ pub trait SlotOps: Send + Sync {
     /// (`0..work_units()`). Units run concurrently on scoped threads, each
     /// with its own `infos` set; the driver merges them. The default
     /// delegates to `validate_image` (single unit).
-    fn validate_unit(&self, unit: usize, infos: &mut HashSet<u64>) -> Result<(), MapError> {
+    fn validate_unit(&self, unit: usize, infos: &mut AddrSet<u64>) -> Result<(), MapError> {
         debug_assert_eq!(unit, 0);
         self.validate_image(infos)
     }
@@ -660,12 +660,7 @@ pub trait SlotOps: Send + Sync {
     ///
     /// # Safety
     /// Quiescent exclusive attach-time access (as `census`).
-    unsafe fn census_unit(
-        &self,
-        unit: usize,
-        live: &mut HashSet<usize>,
-        info_refs: &mut HashMap<usize, u32>,
-    ) {
+    unsafe fn census_unit(&self, unit: usize, live: &mut AddrSet, info_refs: &mut AddrMap<u32>) {
         debug_assert_eq!(unit, 0);
         // SAFETY: forwarded contract.
         unsafe { self.census(live, info_refs) }
@@ -690,7 +685,7 @@ pub trait SlotOps: Send + Sync {
     ///
     /// # Safety
     /// Quiescent exclusive attach-time access.
-    unsafe fn census(&self, live: &mut HashSet<usize>, info_refs: &mut HashMap<usize, u32>);
+    unsafe fn census(&self, live: &mut AddrSet, info_refs: &mut AddrMap<u32>);
 
     /// Every arena block currently cached in this structure's pools (kept
     /// out of the sweep).
@@ -855,7 +850,7 @@ pub unsafe fn finish_attach(
         .flat_map(|(i, s)| (0..s.work_units().max(1)).map(move |u| (i, u)))
         .collect();
     let threads = nvm::mapped::attach_threads().clamp(1, units.len().max(1));
-    let mut infos: HashSet<u64> = HashSet::new();
+    let mut infos: AddrSet<u64> = AddrSet::default();
     if threads <= 1 {
         for &(i, u) in &units {
             slots[i].validate_unit(u, &mut infos)?;
@@ -867,7 +862,7 @@ pub unsafe fn finish_attach(
             let handles: Vec<_> = (0..threads)
                 .map(|_| {
                     sc.spawn(|| {
-                        let mut local: HashSet<u64> = HashSet::new();
+                        let mut local: AddrSet<u64> = AddrSet::default();
                         loop {
                             let k = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                             let Some(&(i, u)) = units.get(k) else { break };
@@ -948,8 +943,8 @@ pub unsafe fn finish_attach(
     // per-descriptor counts, which equals the serial census because units
     // partition the referencing cells.
     let census_start = std::time::Instant::now();
-    let mut live: HashSet<usize> = HashSet::new();
-    let mut info_refs: HashMap<usize, u32> = HashMap::new();
+    let mut live: AddrSet = AddrSet::default();
+    let mut info_refs: AddrMap<u32> = AddrMap::default();
     if threads <= 1 {
         for &(i, u) in &units {
             // SAFETY: quiescent exclusive access post-scrub.
@@ -962,8 +957,8 @@ pub unsafe fn finish_attach(
             let handles: Vec<_> = (0..threads)
                 .map(|_| {
                     sc.spawn(|| {
-                        let mut l_live: HashSet<usize> = HashSet::new();
-                        let mut l_refs: HashMap<usize, u32> = HashMap::new();
+                        let mut l_live: AddrSet = AddrSet::default();
+                        let mut l_refs: AddrMap<u32> = AddrMap::default();
                         loop {
                             let k = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                             let Some(&(i, u)) = units.get(k) else { break };
@@ -1063,7 +1058,7 @@ unsafe fn direct_decide(rd: u64, pid: usize, slots: &[Box<dyn SlotOps>]) -> Reco
 /// typed [`nvm::MapError::CorruptPointer`], never a dereference.
 pub fn validate_infos<M: Persist>(
     heap: &nvm::mapped::MappedHeap,
-    infos: &std::collections::HashSet<u64>,
+    infos: &AddrSet<u64>,
     valid_install: impl Fn(u64) -> bool + Copy,
 ) -> Result<(), nvm::MapError> {
     let cell_ok = |a: u64| a & 7 == 0 && heap.contains_span(a as usize, 8);
@@ -1091,10 +1086,10 @@ pub fn validate_infos<M: Persist>(
 /// caches (the descriptors themselves are added here).
 pub unsafe fn census_epilogue<M: Persist>(
     heap: &nvm::mapped::MappedHeap,
-    info_refs: &std::collections::HashMap<usize, u32>,
+    info_refs: &AddrMap<u32>,
     owner: *const (),
     owner_slot: u32,
-    live: &mut std::collections::HashSet<usize>,
+    live: &mut AddrSet,
 ) -> usize {
     for (&info, &cnt) in info_refs {
         // SAFETY: quiescent; count/owner per the contract above.

@@ -6,9 +6,10 @@
 //! module exploits that by factoring the whole search/gather/help/recover
 //! algorithm out of [`crate::list::RList`] into [`SetCore`], a borrowed view
 //! `(head node, &RecArea, &Collector)`. [`crate::list::RList`] is the
-//! one-bucket instantiation; [`crate::hashmap::RHashMap`] routes keys to a
-//! power-of-two array of bucket heads sharing **one** recovery area (one
-//! pending operation per process, per the paper's model) and one collector.
+//! one-bucket instantiation; [`crate::hashmap::RHashMap`] is one list whose
+//! operations start at permanent bucket sentinels, with **one** recovery
+//! area (one pending operation per process, per the paper's model) and one
+//! collector.
 //!
 //! The bucket is sorted by strictly increasing `u64` keys with two sentinels
 //! (`0 = −∞`, `u64::MAX = +∞`); user keys must lie strictly between. Each
@@ -44,6 +45,7 @@ use crate::optype;
 use crate::pool::{Pool, PoolCfg, PoolItem};
 use crate::recovery::{op_recover, RecArea, Recovered};
 use crate::tag;
+use nvm::addr_hash::{AddrMap, AddrSet};
 use nvm::{PWord, Persist, PersistWords};
 use reclaim::{Collector, Guard};
 
@@ -53,7 +55,11 @@ pub const KEY_MIN: u64 = 0;
 pub const KEY_MAX: u64 = u64::MAX;
 
 /// A list node: `key` (immutable once published), `next`, `info`.
-#[repr(C)]
+///
+/// Aligned to 32 bytes so a node never straddles a 64-byte cache line: its
+/// line-granular write-back is always exactly one line, whatever address
+/// the allocator picks.
+#[repr(C, align(32))]
 pub struct Node<M: Persist> {
     key: PWord<M>,
     next: PWord<M>,
@@ -97,10 +103,9 @@ impl<M: Persist> PoolItem for Node<M> {
     }
 }
 
-/// The descriptor/node pools shared by every bucket of one ordered-set
-/// structure (`RList` owns one pair; `RHashMap` shares one pair across all
-/// shards). Pooling is forced into passthrough mode under crash simulation
-/// and disabled collectors — see [`crate::pool`].
+/// The descriptor/node pools of one ordered-set structure (`RList` and
+/// `RHashMap` each own one pair). Pooling is forced into passthrough mode
+/// under crash simulation and disabled collectors — see [`crate::pool`].
 pub struct SetPools<M: Persist> {
     /// Info-descriptor pool.
     pub info: Pool<Info<M>>,
@@ -132,29 +137,61 @@ impl<M: Persist> Drop for Node<M> {
     }
 }
 
-/// Allocates a fresh empty bucket: a `−∞` head linked to a `+∞` tail.
-/// Ownership passes to the caller, which must tear it down through
-/// [`grave_scan_bucket`] (or by walking and freeing the nodes itself).
-pub fn new_bucket<M: Persist>() -> *mut Node<M> {
-    let tail: *mut Node<M> = Node::alloc(KEY_MAX, 0, 0);
-    Node::alloc(KEY_MIN, tail as u64, 0)
+/// Builds a private, untagged chain `−∞ → keys… → +∞` and returns every node
+/// in list order (head first, tail last); with no keys, a fresh empty
+/// bucket. `keys` must be strictly increasing and lie strictly between the
+/// sentinels. Nothing is published, so no tracking is needed: the caller
+/// links the head into its root and owns the nodes (teardown through
+/// [`grave_scan_bucket`]). With `pools`, nodes are drawn from them — the
+/// mapped backend's persistent arena, so the chain survives the process;
+/// this panics on a passthrough pool, because a heap-`Box` node whose
+/// address gets persisted into the arena would dangle after a restart.
+/// Without `pools`, nodes come from the heap.
+pub fn new_chain<M: Persist>(pools: Option<&SetPools<M>>, keys: &[u64]) -> Vec<*mut Node<M>> {
+    let draw = |key: u64, next: u64| match pools {
+        Some(pools) => {
+            let p =
+                pools.node.take().expect("mapped bucket sentinels require an arena-backed pool");
+            // SAFETY: a pool object is live and exclusively ours until
+            // published; init rewrites every (dirty) field.
+            unsafe { (*p).init(key, next, 0) };
+            p
+        }
+        None => Node::alloc(key, next, 0),
+    };
+    let mut nodes = vec![std::ptr::null_mut(); keys.len() + 2];
+    let mut next = draw(KEY_MAX, 0);
+    nodes[keys.len() + 1] = next;
+    for (i, &k) in keys.iter().enumerate().rev() {
+        debug_assert!(k > KEY_MIN && k < unsafe { (*next).key.load() });
+        next = draw(k, next as u64);
+        nodes[i + 1] = next;
+    }
+    nodes[0] = draw(KEY_MIN, next as u64);
+    nodes
 }
 
-/// Allocates a fresh empty bucket whose sentinels are drawn from `pools`:
-/// the mapped backend routes this through its persistent arena so bucket
-/// heads survive the process. Panics on a passthrough pool — a heap-`Box`
-/// sentinel whose address gets persisted into the arena would dangle after
-/// a restart, so there is deliberately no fallback.
-pub fn new_bucket_in<M: Persist>(pools: &SetPools<M>) -> *mut Node<M> {
-    let draw = |key: u64, next: u64| {
-        let p = pools.node.take().expect("mapped bucket sentinels require an arena-backed pool");
-        // SAFETY: a pool object is live and exclusively ours until
-        // published; init rewrites every (dirty) field.
-        unsafe { (*p).init(key, next, 0) };
-        p
-    };
-    let tail = draw(KEY_MAX, 0);
-    draw(KEY_MIN, tail as u64)
+/// Walks the quiescent list from `head` to its `+∞` tail (inclusive),
+/// calling `f(node, key, info)` per reachable node.
+///
+/// # Safety
+/// Requires quiescent exclusive access to a live list (or a validated one,
+/// see [`validate_bucket`]).
+pub unsafe fn for_each_node<M: Persist>(
+    head: *mut Node<M>,
+    mut f: impl FnMut(*mut Node<M>, u64, u64),
+) {
+    unsafe {
+        let mut n = head;
+        loop {
+            let key = (*n).key.load();
+            f(n, key, (*n).info.load());
+            if key == KEY_MAX {
+                break;
+            }
+            n = (*n).next.load() as *mut Node<M>;
+        }
+    }
 }
 
 /// Bounds-checked pre-validation of a bucket read from an **untrusted**
@@ -174,7 +211,7 @@ pub unsafe fn validate_bucket<M: Persist>(
     head: *mut Node<M>,
     in_node: &impl Fn(u64) -> bool,
     max_nodes: usize,
-    infos: &mut std::collections::HashSet<u64>,
+    infos: &mut AddrSet<u64>,
 ) -> Result<(), u64> {
     if !in_node(head as u64) {
         return Err(head as u64);
@@ -213,22 +250,27 @@ pub unsafe fn validate_bucket<M: Persist>(
 /// Requires quiescent exclusive access to a live bucket.
 pub unsafe fn census_bucket<M: Persist>(
     head: *mut Node<M>,
-    nodes: &mut std::collections::HashSet<usize>,
-    info_refs: &mut std::collections::HashMap<usize, u32>,
+    nodes: &mut AddrSet,
+    info_refs: &mut AddrMap<u32>,
 ) {
     unsafe {
-        let mut n = head;
-        loop {
-            nodes.insert(n as usize);
-            let iv = tag::untagged((*n).info.load());
-            if iv != 0 {
-                *info_refs.entry(iv as usize).or_insert(0) += 1;
-            }
-            if (*n).key.load() == KEY_MAX {
-                break;
-            }
-            n = (*n).next.load() as *mut Node<M>;
-        }
+        for_each_node(head, |n, _, info| census_node(n, info, nodes, info_refs));
+    }
+}
+
+/// One node's share of [`census_bucket`]: its address into `nodes` and, if
+/// its info cell references a descriptor, one count into `info_refs`.
+#[inline]
+pub fn census_node<M: Persist>(
+    n: *mut Node<M>,
+    info: u64,
+    nodes: &mut AddrSet,
+    info_refs: &mut AddrMap<u32>,
+) {
+    nodes.insert(n as usize);
+    let iv = tag::untagged(info);
+    if iv != 0 {
+        *info_refs.entry(iv as usize).or_insert(0) += 1;
     }
 }
 
@@ -258,7 +300,7 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
     /// A view over the bucket rooted at `head`.
     ///
     /// # Safety
-    /// `head` must point to a live bucket created by [`new_bucket`] whose
+    /// `head` must point to a live bucket created by [`new_chain`] whose
     /// nodes are only reclaimed through `collector`, `rec` must be the
     /// recovery area every operation on this bucket publishes through, and
     /// `pools` must be the pools every operation on the structure draws
@@ -392,13 +434,38 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
     /// Inserts `key`; returns `false` iff it was already present.
     /// (Algorithm 3, `Insert`.)
     pub fn insert(&self, pid: usize, key: u64) -> bool {
+        self.insert_impl::<true>(pid, key).0
+    }
+
+    /// Inserts `key` **without touching the recovery area**: no `RD_q :=
+    /// Null / CP_q := 1` prologue and no publication, so the calling
+    /// process's pending operation keeps its recovery record. Returns the
+    /// node holding `key` afterwards — the one just linked, or the present
+    /// one (whose insert has completed: it is found untagged, or helped).
+    ///
+    /// For structural nodes a structure adds on its own behalf (the hash
+    /// map's bucket guards and sentinels): a crash mid-insert leaves at most
+    /// tags that helping completes on contact, and the caller re-inserts on
+    /// its retry. The descriptor is persisted before its first tag exactly
+    /// like a tracked one, but it is referenced only by the cells it tags,
+    /// so the reference `RD_q` would hold is dropped up front. A present
+    /// key costs no persistency instruction at all.
+    pub fn insert_untracked(&self, key: u64) -> *mut Node<M> {
+        self.insert_impl::<false>(0, key).1
+    }
+
+    /// [`SetCore::insert`] (`TRACKED`) or [`SetCore::insert_untracked`]:
+    /// returns the response and the node holding `key` afterwards.
+    fn insert_impl<const TRACKED: bool>(&self, pid: usize, key: u64) -> (bool, *mut Node<M>) {
         Self::assert_key(key);
         // ONE pin covers the whole operation: the previous descriptor's
         // release, every attempt, and all retirements (interior help calls
         // re-pin through the collector's nested fast path).
         let g = self.collector.pin();
-        let prev = self.rec.begin::<ARM>(pid);
-        unsafe { crate::recovery::release_prev::<M>(prev, &g) };
+        if TRACKED {
+            let prev = self.rec.begin::<ARM>(pid);
+            unsafe { crate::recovery::release_prev::<M>(prev, &g) };
+        }
         // newnd → newcurr; newcurr refreshed per attempt as a copy of curr.
         let newcurr = self.alloc_node(0, 0, 0);
         let newnd = self.alloc_node(key, newcurr as u64, 0);
@@ -409,14 +476,21 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
             let s = unsafe { self.search(key) };
             // Helping phase.
             if tag::is_tagged(s.pred_info) {
-                unsafe { help::<M, ARM>(tag::ptr_of(s.pred_info), false, &g) };
+                unsafe { help::<M, ARM>(tag::ptr_of(s.pred_info), &g) };
                 continue;
             }
             if tag::is_tagged(s.curr_info) {
-                unsafe { help::<M, ARM>(tag::ptr_of(s.curr_info), false, &g) };
+                unsafe { help::<M, ARM>(tag::ptr_of(s.curr_info), &g) };
                 continue;
             }
             let curr_key = unsafe { (*s.curr).key.load() };
+            if curr_key == key && !TRACKED {
+                unsafe {
+                    self.pools.info.give(info, &g); // never filled nor published
+                    self.drop_pending(newnd, newcurr, filled, &g);
+                }
+                return (false, s.curr);
+            }
             if curr_key == key {
                 // ROpt read-only path: key already present.
                 unsafe {
@@ -441,7 +515,7 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
                     Info::release(info, 1, &g); // the never-installed affect slot
                     self.drop_pending(newnd, newcurr, filled, &g);
                 }
-                return false;
+                return (false, s.curr);
             }
             // Update path: refresh the copy of curr and the new nodes' tags.
             unsafe {
@@ -472,11 +546,16 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
                 );
                 self.persist_attempt(info, newnd, newcurr);
             }
-            self.publish(pid, info, &mut published, &g);
-            match unsafe { help::<M, ARM>(info, true, &g) } {
+            if TRACKED {
+                self.publish(pid, info, &mut published, &g);
+            } else {
+                // No RD_q reference: only the tagged cells hold this one.
+                unsafe { Info::release(info, 1, &g) };
+            }
+            match unsafe { help::<M, ARM>(info, &g) } {
                 HelpOutcome::Done => {
                     unsafe { self.retire_node(s.curr, &g) };
-                    return true;
+                    return (true, newnd);
                 }
                 HelpOutcome::FailedAt(i) => {
                     // Abandon: release never-installed affect slots; fresh
@@ -501,11 +580,11 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
         loop {
             let s = unsafe { self.search(key) };
             if tag::is_tagged(s.pred_info) {
-                unsafe { help::<M, ARM>(tag::ptr_of(s.pred_info), false, &g) };
+                unsafe { help::<M, ARM>(tag::ptr_of(s.pred_info), &g) };
                 continue;
             }
             if tag::is_tagged(s.curr_info) {
-                unsafe { help::<M, ARM>(tag::ptr_of(s.curr_info), false, &g) };
+                unsafe { help::<M, ARM>(tag::ptr_of(s.curr_info), &g) };
                 continue;
             }
             let curr_key = unsafe { (*s.curr).key.load() };
@@ -550,7 +629,7 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
                 self.persist_attempt(info, std::ptr::null_mut(), std::ptr::null_mut());
             }
             self.publish(pid, info, &mut published, &g);
-            match unsafe { help::<M, ARM>(info, true, &g) } {
+            match unsafe { help::<M, ARM>(info, &g) } {
                 HelpOutcome::Done => {
                     unsafe { self.retire_node(s.curr, &g) };
                     return true;
@@ -578,7 +657,7 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
         loop {
             let s = unsafe { self.search(key) };
             if tag::is_tagged(s.curr_info) {
-                unsafe { help::<M, ARM>(tag::ptr_of(s.curr_info), false, &g) };
+                unsafe { help::<M, ARM>(tag::ptr_of(s.curr_info), &g) };
                 continue;
             }
             let res = unsafe { (*s.curr).key.load() } == key;
@@ -632,6 +711,16 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
     /// [`crate::recovery::AttachError::ScrubStalled`] instead of a panic —
     /// the mapped attach path reports non-quiescing images as errors.
     pub fn try_scrub(&self) -> Result<(), crate::recovery::AttachError> {
+        self.try_scrub_until(|_| false)
+    }
+
+    /// [`SetCore::try_scrub`] over the region from the head up to (not
+    /// including) the first later node whose key satisfies `stop`, or the
+    /// `+∞` tail — the hash map scrubs one bucket's stretch of its list.
+    pub fn try_scrub_until(
+        &self,
+        stop: impl Fn(u64) -> bool,
+    ) -> Result<(), crate::recovery::AttachError> {
         // Each pass helps every descriptor visible in it; descriptors are
         // finite (≤ one per process) and helping never re-tags, so a couple
         // of passes quiesce. The bound turns a logic bug into a diagnosis.
@@ -645,12 +734,15 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
                     let iv = (*n).info.load();
                     if tag::is_tagged(iv) {
                         dirty = true;
-                        help::<M, ARM>(tag::ptr_of(iv), false, &g);
+                        help::<M, ARM>(tag::ptr_of(iv), &g);
                     }
                     if (*n).key.load() == KEY_MAX {
                         break;
                     }
                     n = (*n).next.load() as *mut Node<M>;
+                    if stop((*n).key.load()) {
+                        break;
+                    }
                 }
             }
             if !dirty {

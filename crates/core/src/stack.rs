@@ -45,12 +45,12 @@ use crate::recovery::{
     Recovered, SlotOps,
 };
 use crate::tag;
+use nvm::addr_hash::{AddrMap, AddrSet};
 use nvm::mapped::{MapError, MappedHeap, MappedNvm, DEFAULT_HEAP_BYTES};
 use nvm::pad::CachePadded;
 use nvm::{PWord, Persist, PersistWords, MAX_PROCS};
 use reclaim::{Collector, Guard};
 use std::cell::UnsafeCell;
-use std::collections::{HashMap, HashSet};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
@@ -542,7 +542,7 @@ impl MappedLayout for RStack<MappedNvm> {
 }
 
 impl SlotOps for RStack<MappedNvm> {
-    fn validate_image(&self, _infos: &mut HashSet<u64>) -> Result<(), MapError> {
+    fn validate_image(&self, _infos: &mut AddrSet<u64>) -> Result<(), MapError> {
         // Direct tracking references no descriptors; validate the chain.
         let mut budget = self.heap().bump_granules() + 4;
         let mut n = (*self.top).peek();
@@ -569,7 +569,7 @@ impl SlotOps for RStack<MappedNvm> {
         Ok(())
     }
 
-    unsafe fn census(&self, live: &mut HashSet<usize>, _info_refs: &mut HashMap<usize, u32>) {
+    unsafe fn census(&self, live: &mut AddrSet, _info_refs: &mut AddrMap<u32>) {
         // SAFETY: quiescent exclusive access post-scrub (caller).
         unsafe {
             let mut n = (*self.top).peek() as *mut Node<MappedNvm>;

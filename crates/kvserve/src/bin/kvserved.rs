@@ -15,7 +15,8 @@
 //!
 //! `--workers` is the number of lanes: process slots (one tid each) that
 //! requests run under, on their connection's thread. `--shards` is the hash
-//! map's shard count.
+//! map's number of initial buckets (a power of two; the split-ordered map
+//! doubles its bucket directory as keys arrive).
 
 use kvserve::{Config, Server};
 use std::time::Duration;

@@ -109,6 +109,10 @@ pub enum Status {
     Recovering = 8,
     /// Length prefix exceeds [`MAX_FRAME`] (fatal: framing lost).
     Oversized = 9,
+    /// A map key outside `[1, MAX_KEY)` ([`isb::hashmap::MAX_KEY`]) or an
+    /// enqueued value of at least [`isb::queue::MAX_VALUE`] (non-fatal;
+    /// rejected before any durable step).
+    BadKey = 10,
 }
 
 impl Status {
@@ -125,6 +129,7 @@ impl Status {
             7 => Status::TableFull,
             8 => Status::Recovering,
             9 => Status::Oversized,
+            10 => Status::BadKey,
             _ => return None,
         })
     }
@@ -198,6 +203,23 @@ pub fn parse_request(payload: &[u8]) -> Result<Request, Status> {
         return Err(Status::BadClientId);
     }
     Ok(Request { op, client_id, op_seq: u64_at(payload, 10), arg: u64_at(payload, 18) })
+}
+
+/// Range check of a parsed request's argument against the structure it
+/// targets: a map key must lie in `[1, MAX_KEY)`, an enqueued value below
+/// [`isb::queue::MAX_VALUE`] ([`Status::BadKey`] otherwise). The server runs
+/// it before any durable step; the structures assert the same ranges.
+pub fn check_arg(req: &Request) -> Result<(), Status> {
+    let ok = match req.op {
+        OpCode::Put | OpCode::Del | OpCode::Get => req.arg != 0 && req.arg < isb::hashmap::MAX_KEY,
+        OpCode::Enq => req.arg < isb::queue::MAX_VALUE,
+        OpCode::Deq => true, // argument ignored
+    };
+    if ok {
+        Ok(())
+    } else {
+        Err(Status::BadKey)
+    }
 }
 
 /// Parses a response payload (client side).
@@ -315,6 +337,26 @@ mod tests {
         let p =
             encode_request(&Request { op: OpCode::Put, client_id: u64::MAX, op_seq: 1, arg: 0 });
         assert_eq!(parse_request(&p[4..]), Err(Status::BadClientId));
+        for (op, arg) in [
+            (OpCode::Put, 0),
+            (OpCode::Put, u64::MAX),
+            (OpCode::Del, isb::hashmap::MAX_KEY),
+            (OpCode::Get, 0),
+            (OpCode::Enq, isb::queue::MAX_VALUE),
+            (OpCode::Enq, u64::MAX),
+        ] {
+            let req = Request { op, client_id: 1, op_seq: 1, arg };
+            assert_eq!(check_arg(&req), Err(Status::BadKey), "{op:?}({arg})");
+        }
+        for (op, arg) in [
+            (OpCode::Put, isb::hashmap::MAX_KEY - 1),
+            (OpCode::Enq, 0),
+            (OpCode::Enq, isb::queue::MAX_VALUE - 1),
+            (OpCode::Deq, u64::MAX),
+        ] {
+            let req = Request { op, client_id: 1, op_seq: 1, arg };
+            assert_eq!(check_arg(&req), Ok(()), "{op:?}({arg})");
+        }
     }
 
     #[test]

@@ -44,7 +44,7 @@
 //! and `ISB_KV_KILL_AFTER=<n>` (the n-th hit of that point dies).
 
 use crate::proto::{
-    encode_response, parse_request, read_frame, Frame, OpCode, Request, Response, Status,
+    check_arg, encode_response, parse_request, read_frame, Frame, OpCode, Request, Response, Status,
 };
 use isb::engine::{res_val, RES_FALSE, RES_TRUE, RES_UNIT};
 use isb::hashmap::RHashMap;
@@ -78,7 +78,8 @@ pub struct Config {
     pub heap_bytes: usize,
     /// Open the heap in live multi-process shared mode.
     pub shared: bool,
-    /// Hash-map shard count (power of two).
+    /// Hash-map initial bucket count (power of two; the map grows its
+    /// bucket directory with its keys).
     pub shards: usize,
     /// Process slots (lanes) requests run under, each on its own tid
     /// (clamped: shared mode has a 8-tid participant band — 1
@@ -365,7 +366,9 @@ fn conn_loop(mut stream: TcpStream, shared: Arc<Shared>) {
                 return;
             }
         };
-        let resp = match parse_request(&payload) {
+        // Out-of-range arguments are answered before any durable step (the
+        // structures would reject them mid-operation, holding the lane).
+        let resp = match parse_request(&payload).and_then(|r| check_arg(&r).map(|()| r)) {
             Err(status) => Response::err(status, 0),
             Ok(req) => {
                 maybe_kill(&shared.kill, KillPoint::Parse);
@@ -538,6 +541,41 @@ mod tests {
             let id = (1..).find(|&id| route(id, lanes) == lane).unwrap();
             let mut c = KvClient::connect(server.local_addr(), id).expect("connect");
             assert!(c.put(id).expect("put on a lane after the reserved id"), "lane {lane}");
+        }
+        server.stop();
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn out_of_range_arguments_are_rejected_and_every_lane_serves() {
+        let (server, dir) = test_server("badkey", 4);
+        let lanes = server.shared.lanes.len();
+        let bad = [
+            (OpCode::Put, 0),
+            (OpCode::Put, isb::hashmap::MAX_KEY),
+            (OpCode::Put, u64::MAX),
+            (OpCode::Del, 0),
+            (OpCode::Get, u64::MAX),
+            (OpCode::Enq, isb::queue::MAX_VALUE),
+        ];
+        let mut next_key = 1;
+        for (i, (op, arg)) in bad.into_iter().enumerate() {
+            // Reaches the lane of client `i + 1` if it were ever admitted.
+            let mut s = TcpStream::connect(server.local_addr()).expect("connect");
+            s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            let req = Request { op, client_id: i as u64 + 1, op_seq: 1, arg };
+            s.write_all(&encode_request(&req)).unwrap();
+            let Some(Frame::Payload(p)) = read_frame(&mut s, &|| false).expect("reply") else {
+                panic!("no reply frame");
+            };
+            assert_eq!(parse_response(&p), Ok(Response::err(Status::BadKey, 0)), "{op:?}({arg})");
+            drop(s);
+            for lane in 0..lanes {
+                let id = (100 * (i as u64 + 1)..).find(|&id| route(id, lanes) == lane).unwrap();
+                let mut c = KvClient::connect(server.local_addr(), id).expect("connect");
+                assert!(c.put(next_key).expect("put after a bad frame"), "lane {lane}");
+                next_key += 1;
+            }
         }
         server.stop();
         let _ = std::fs::remove_dir_all(dir);

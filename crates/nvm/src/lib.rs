@@ -65,6 +65,7 @@
 
 #![warn(missing_docs)]
 
+pub mod addr_hash;
 pub mod coalesce;
 pub mod flush;
 pub mod liveness;

@@ -131,6 +131,7 @@
 //! caveat at the cost of an indirection on every dereference — see
 //! DESIGN.md §10 for the trade-off discussion).
 
+use crate::addr_hash::AddrSet;
 use crate::flush;
 use crate::pad::CachePadded;
 use crate::persist::{raw_cas, raw_load, raw_store, Persist};
@@ -139,7 +140,7 @@ use crate::stats;
 use crate::tid;
 use crate::MAX_PROCS;
 use std::cell::UnsafeCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fs::OpenOptions;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::Ordering::{AcqRel, Acquire, Relaxed, Release, SeqCst};
@@ -357,7 +358,10 @@ pub const MAGIC: u64 = 0x4953_424D_4150_3031;
 /// reservation size joined the superblock, and the `PAD` block state was
 /// added for segment-tail filler. Pre-v3 heaps must fail typed
 /// (`BadVersion`) rather than silently attach with an empty directory.
-pub const VERSION: u64 = 3;
+/// v4: the hash map became one split-ordered list (a one-word root: the
+/// list head, bucket sentinels in the list) instead of a per-shard array of
+/// bucket heads; a v3 map's root would read as a head and mis-walk.
+pub const VERSION: u64 = 4;
 /// Base address requested for fresh heaps: high in the 47-bit user window,
 /// far from the default heap/mmap/stack regions of both parent and child
 /// processes, so cross-process re-attach almost always lands at the same
@@ -1977,7 +1981,7 @@ impl MappedHeap {
         let granules = s.granules.load(Relaxed);
         let limit = bump.min(g0 + granules);
         let mut w = SegWalk::default();
-        let mut committed_set: HashSet<usize> = HashSet::new();
+        let mut committed_set: AddrSet = AddrSet::default();
         let mut g = g0;
         while g < limit {
             let (state, pg) = decode_hdr(self.hdr(g).load(Acquire))
@@ -2515,7 +2519,7 @@ impl MappedHeap {
     /// # Safety
     /// Requires quiescent exclusive access, and `live` must contain every
     /// payload address still reachable from the structure's roots.
-    pub unsafe fn sweep_except(&self, live: &HashSet<usize>) -> usize {
+    pub unsafe fn sweep_except(&self, live: &AddrSet) -> usize {
         let bump = self.word(W_BUMP).load(Acquire) as usize;
         let n = self.n_segs.load(Acquire);
         let threads = attach_threads().min(n).max(1);
@@ -2546,7 +2550,7 @@ impl MappedHeap {
 
     /// # Safety
     /// As [`MappedHeap::sweep_except`] (one segment's slice).
-    unsafe fn sweep_segment(&self, i: usize, bump: usize, live: &HashSet<usize>) -> usize {
+    unsafe fn sweep_segment(&self, i: usize, bump: usize, live: &AddrSet) -> usize {
         let s = &self.segs[i];
         let g0 = s.g_start.load(Relaxed);
         let limit = bump.min(g0 + s.granules.load(Relaxed));
@@ -2946,6 +2950,7 @@ impl Persist for MappedNvm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     fn tmp(name: &str) -> PathBuf {
         let p = std::env::temp_dir().join(format!(
@@ -3187,7 +3192,7 @@ mod tests {
         heap.commit(keep);
         let lost = heap.alloc(32).unwrap();
         heap.commit(lost);
-        let mut live = HashSet::new();
+        let mut live = AddrSet::default();
         live.insert(keep as usize);
         assert_eq!(unsafe { heap.sweep_except(&live) }, 1);
         // The swept block is reusable.

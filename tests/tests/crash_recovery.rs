@@ -265,3 +265,25 @@ fn bst_survives_repeated_recovery_crashes() {
         });
     }
 }
+
+#[test]
+fn hashmap_arms_survive_crashes_around_growth() {
+    // The harness map starts from one bucket. 3 × 11 prefilled keys put the
+    // 33rd insert — the directory's first doubling — at the end of the
+    // prefill, so bucket 1's guard and sentinel are inserted (untracked,
+    // under a pending operation's `mark_invoked`) by the workers, inside
+    // the crash window, in every placement.
+    let cfg = |seed| CrashCfg {
+        procs: 3,
+        ops_per_proc: 40,
+        keys_per_proc: 21,
+        recovery_crashes: 1,
+        seed,
+    };
+    for seed in 1300..1306 {
+        run_hashmap_scenario(cfg(seed));
+        run_hashmap_opt_scenario(cfg(seed + 10));
+        run_hashmap_coal_scenario(cfg(seed + 20));
+        run_hashmap_lp_scenario(cfg(seed + 30));
+    }
+}

@@ -127,6 +127,14 @@ fn wrong_version_fails_typed() {
         MapError::BadVersion(v) => assert_eq!(v, 99),
         e => panic!("expected BadVersion, got {e}"),
     }
+    // A heap of the previous format (v3: per-shard hash-map bucket heads)
+    // must fail typed too, never attach as a split-ordered map.
+    assert_eq!(nvm::mapped::VERSION, 4);
+    patch(&path, 8, &3u64.to_le_bytes());
+    match map_err(attach(&path)) {
+        MapError::BadVersion(v) => assert_eq!(v, 3),
+        e => panic!("expected BadVersion, got {e}"),
+    }
     let _ = std::fs::remove_file(&path);
 }
 

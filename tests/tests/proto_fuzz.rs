@@ -14,7 +14,8 @@
 //!   still succeeds, so one bad client can never take the service down.
 
 use kvserve::proto::{
-    encode_request, parse_request, read_frame, Frame, OpCode, Request, Status, MAX_FRAME, REQ_BYTES,
+    check_arg, encode_request, parse_request, read_frame, Frame, OpCode, Request, Status,
+    MAX_FRAME, REQ_BYTES,
 };
 use kvserve::{Config, Server};
 use proptest::prelude::*;
@@ -33,9 +34,47 @@ use std::time::Duration;
 fn arb_request() -> impl Strategy<Value = Request> {
     let client_id =
         (0..4u8, 1..=u64::MAX).prop_map(|(edge, id)| if edge == 0 { u64::MAX } else { id });
-    (1..=5u8, client_id, any::<u64>(), any::<u64>()).prop_map(|(op, client_id, op_seq, arg)| {
-        Request { op: OpCode::from_u8(op).unwrap(), client_id, op_seq, arg }
+    // Half the arguments sit on a validation edge: 0, the map's key bound,
+    // the queue's value bound, or u64::MAX (each ± 1 where it exists).
+    let edges = [
+        0,
+        1,
+        isb::hashmap::MAX_KEY - 1,
+        isb::hashmap::MAX_KEY,
+        isb::queue::MAX_VALUE - 1,
+        isb::queue::MAX_VALUE,
+        u64::MAX,
+    ];
+    let arg = (0..2 * edges.len(), any::<u64>()).prop_map(move |(pick, v)| {
+        if pick < edges.len() {
+            edges[pick]
+        } else {
+            v
+        }
+    });
+    (1..=5u8, client_id, any::<u64>(), arg).prop_map(|(op, client_id, op_seq, arg)| Request {
+        op: OpCode::from_u8(op).unwrap(),
+        client_id,
+        op_seq,
+        arg,
     })
+}
+
+/// What the server's admission (`parse_request`, then `check_arg`) must
+/// answer for a well-framed `req`.
+fn expected_admission(req: &Request) -> Result<Request, Status> {
+    let arg_ok = match req.op {
+        OpCode::Put | OpCode::Del | OpCode::Get => req.arg != 0 && req.arg < isb::hashmap::MAX_KEY,
+        OpCode::Enq => req.arg < isb::queue::MAX_VALUE,
+        OpCode::Deq => true,
+    };
+    if req.client_id == u64::MAX {
+        Err(Status::BadClientId)
+    } else if !arg_ok {
+        Err(Status::BadKey)
+    } else {
+        Ok(*req)
+    }
 }
 
 proptest! {
@@ -64,8 +103,8 @@ proptest! {
         prop_assert_eq!(frame.len(), 4 + REQ_BYTES);
         let len = u32::from_le_bytes(frame[..4].try_into().unwrap()) as usize;
         prop_assert_eq!(len, REQ_BYTES);
-        let want = if req.client_id == u64::MAX { Err(Status::BadClientId) } else { Ok(req) };
-        prop_assert_eq!(parse_request(&frame[4..]), want);
+        let admitted = parse_request(&frame[4..]).and_then(|r| check_arg(&r).map(|()| r));
+        prop_assert_eq!(admitted, expected_admission(&req));
     }
 
     /// `read_frame` over arbitrary byte streams: every outcome is a typed
@@ -269,6 +308,32 @@ fn typed_rejections_pinned() {
             p[2..10].copy_from_slice(&u64::MAX.to_le_bytes());
             p[10] = 1; // op_seq 1
             (p, Status::BadClientId)
+        },
+        {
+            let mut p = [0u8; REQ_BYTES];
+            p[0] = 1;
+            p[1] = 1; // PUT(0): below the key range
+            p[2] = 1;
+            p[10] = 1;
+            (p, Status::BadKey)
+        },
+        {
+            let mut p = [0u8; REQ_BYTES];
+            p[0] = 1;
+            p[1] = 1; // PUT(u64::MAX): above the key range
+            p[2] = 1;
+            p[10] = 1;
+            p[18..26].copy_from_slice(&u64::MAX.to_le_bytes());
+            (p, Status::BadKey)
+        },
+        {
+            let mut p = [0u8; REQ_BYTES];
+            p[0] = 1;
+            p[1] = 4; // ENQ of a value the dequeue response cannot encode
+            p[2] = 1;
+            p[10] = 1;
+            p[18..26].copy_from_slice(&isb::queue::MAX_VALUE.to_le_bytes());
+            (p, Status::BadKey)
         },
     ];
     for (payload, want) in reqs {
