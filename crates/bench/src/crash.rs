@@ -145,12 +145,10 @@ pub trait RecoverableSet: Send + Sync + 'static {
 }
 
 macro_rules! impl_recoverable_set {
-    // Optional trailing method name: forwards the trait's `scrub` to the
-    // structure's own eager-helping scrub (not every structure exposes one).
-    ($ty:ty, $name:literal $(, $scrub:ident)?) => {
-        impl_recoverable_set!($ty, $name, Self::with_collector(Collector::disabled()) $(, $scrub)?);
-    };
-    // Explicit constructor expression for the crash run.
+    // `$build` constructs the structure for a crash run (a crash must not
+    // free memory, so it takes a disabled collector). The optional trailing
+    // method name forwards the trait's `scrub` to the structure's own
+    // eager-helping scrub (not every structure exposes one).
     ($ty:ty, $name:literal, $build:expr $(, $scrub:ident)?) => {
         impl RecoverableSet for $ty {
             const NAME: &'static str = $name;
@@ -190,30 +188,25 @@ macro_rules! impl_recoverable_set {
     };
 }
 
-impl_recoverable_set!(RList<SimNvm, 0>, "RList", scrub);
+impl_recoverable_set!(RList<SimNvm, 0>, "RList", Self::with_collector(Collector::disabled()), scrub);
 // The BST scrubs too: a failed attempt whose earlier affect cells rolled
 // back past their expected values leaves its later tags for (eager) helping.
-impl_recoverable_set!(RBst<SimNvm, 0>, "RBst", scrub);
+impl_recoverable_set!(RBst<SimNvm, 0>, "RBst", Self::with_collector(Collector::disabled()), scrub);
 // The split-ordered map in every persistency placement, started from ONE
 // bucket: the directory doubles as the workload crosses 32 keys per bucket,
 // so seeded crashes also land inside growth and bucket initialization (the
 // tracking-free guard/sentinel inserts), while every pending descriptor
 // lives in the one shared recovery area.
-macro_rules! one_bucket_map {
-    () => {
-        Self::with_shards_and_collector(1, Collector::disabled())
-    };
-}
-impl_recoverable_set!(RHashMap<SimNvm, 0>, "RHashMap", one_bucket_map!(), scrub);
-impl_recoverable_set!(RHashMap<SimNvm, 1>, "RHashMap-Opt", one_bucket_map!(), scrub);
+impl_recoverable_set!(RHashMap<SimNvm, 0>, "RHashMap", Self::with_shards_and_collector(1, Collector::disabled()), scrub);
+impl_recoverable_set!(RHashMap<SimNvm, 1>, "RHashMap-Opt", Self::with_shards_and_collector(1, Collector::disabled()), scrub);
 // The coalescing arms against the same per-word adversary: `SimNvm` keeps its
 // default `pwb_coal = pwb` (a noted line is simply an outstanding word until
 // the next fence — exactly the crash-visibility window coalescing introduces),
 // while the write-backs the arms *elide* (deferred `CP_q := 1`, LP's cleanup
 // untag flushes, the merged enqueue `psync`) genuinely never happen, so the
 // image builder is free to roll those words back and recovery must cope.
-impl_recoverable_set!(RHashMap<SimNvm, 2>, "RHashMap-Coal", one_bucket_map!(), scrub);
-impl_recoverable_set!(RHashMap<SimNvm, 3>, "RHashMap-LP", one_bucket_map!(), scrub);
+impl_recoverable_set!(RHashMap<SimNvm, 2>, "RHashMap-Coal", Self::with_shards_and_collector(1, Collector::disabled()), scrub);
+impl_recoverable_set!(RHashMap<SimNvm, 3>, "RHashMap-LP", Self::with_shards_and_collector(1, Collector::disabled()), scrub);
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum SetOp {

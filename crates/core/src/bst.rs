@@ -278,11 +278,11 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
         loop {
             let s = unsafe { self.search(key) };
             if tag::is_tagged(s.p_info) {
-                unsafe { help::<M, ARM>(tag::ptr_of(s.p_info), &g) };
+                unsafe { help::<M, ARM>(tag::ptr_of(s.p_info), false, &g) };
                 continue;
             }
             if tag::is_tagged(s.l_info) {
-                unsafe { help::<M, ARM>(tag::ptr_of(s.l_info), &g) };
+                unsafe { help::<M, ARM>(tag::ptr_of(s.l_info), false, &g) };
                 continue;
             }
             let l_key = unsafe { (*s.l).key.load() };
@@ -336,7 +336,7 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
                 self.persist_attempt(info, &[internal, new_leaf, l_copy]);
             }
             self.publish(pid, info, &mut published, &g);
-            match unsafe { help::<M, ARM>(info, &g) } {
+            match unsafe { help::<M, ARM>(info, true, &g) } {
                 HelpOutcome::Done => {
                     unsafe { self.retire_node(s.l, &g) };
                     return true;
@@ -368,15 +368,15 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
         loop {
             let s = unsafe { self.search(key) };
             if tag::is_tagged(s.gp_info) {
-                unsafe { help::<M, ARM>(tag::ptr_of(s.gp_info), &g) };
+                unsafe { help::<M, ARM>(tag::ptr_of(s.gp_info), false, &g) };
                 continue;
             }
             if tag::is_tagged(s.p_info) {
-                unsafe { help::<M, ARM>(tag::ptr_of(s.p_info), &g) };
+                unsafe { help::<M, ARM>(tag::ptr_of(s.p_info), false, &g) };
                 continue;
             }
             if tag::is_tagged(s.l_info) {
-                unsafe { help::<M, ARM>(tag::ptr_of(s.l_info), &g) };
+                unsafe { help::<M, ARM>(tag::ptr_of(s.l_info), false, &g) };
                 continue;
             }
             let l_key = unsafe { (*s.l).key.load() };
@@ -409,7 +409,7 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
                 (sib, si, (*sib).key.load(), (*sib).left.load(), (*sib).right.load())
             };
             if tag::is_tagged(sib_info) {
-                unsafe { help::<M, ARM>(tag::ptr_of(sib_info), &g) };
+                unsafe { help::<M, ARM>(tag::ptr_of(sib_info), false, &g) };
                 continue;
             }
             let t = tag::tagged(info as u64);
@@ -436,7 +436,7 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
                 self.persist_attempt(info, &[sib_copy]);
             }
             self.publish(pid, info, &mut published, &g);
-            match unsafe { help::<M, ARM>(info, &g) } {
+            match unsafe { help::<M, ARM>(info, true, &g) } {
                 HelpOutcome::Done => {
                     unsafe {
                         self.retire_node(s.p, &g);
@@ -469,7 +469,7 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
         loop {
             let s = unsafe { self.search(key) };
             if tag::is_tagged(s.l_info) {
-                unsafe { help::<M, ARM>(tag::ptr_of(s.l_info), &g) };
+                unsafe { help::<M, ARM>(tag::ptr_of(s.l_info), false, &g) };
                 continue;
             }
             let res = unsafe { (*s.l).key.load() } == key;
@@ -562,7 +562,7 @@ impl<M: Persist, const ARM: u8> RBst<M, ARM> {
                     let iv = (*n).info.load();
                     if tag::is_tagged(iv) {
                         dirty = true;
-                        help::<M, ARM>(tag::ptr_of(iv), &g);
+                        help::<M, ARM>(tag::ptr_of(iv), false, &g);
                     }
                     if !(*n).is_leaf() {
                         stack.push((*n).left.load() as *mut Node<M>);

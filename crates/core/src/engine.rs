@@ -11,8 +11,8 @@
 //!    operation first and retry.
 //! 3. The Info is filled, persisted, published in `RD_q`, and [`help`] runs:
 //!    * **Tagging**: CAS each affect cell from its expected value to the
-//!      tagged Info pointer, in AffectSet order, from the first element
-//!      (helpers too — see [`help`]). On failure, **backtrack**
+//!      tagged Info pointer, in AffectSet order (the invoker starts at the
+//!      first element, helpers at the second). On failure, **backtrack**
 //!      untags the already-tagged prefix (to `untagged(info)` — a fresh
 //!      value, preserving pointer freshness) and the attempt fails.
 //!    * **Update**: execute the WriteSet CASes (idempotent: re-execution
@@ -504,6 +504,16 @@ pub fn with_release_suspended<R>(f: impl FnOnce() -> R) -> R {
     })
 }
 
+/// Whether the calling thread is helping over a crash image in which no
+/// descriptor address has been recycled since the crash: the crash
+/// simulator (which never frees a descriptor) or the attach-time replay
+/// (which runs before the attaching process allocates anything). A pending
+/// operation's expected values stay valid there — its invoker's pins kept
+/// them from being freed up to the crash.
+fn replaying_crash_image<M: Persist>() -> bool {
+    M::SIMULATED || RELEASE_SUSPENDED.with(|c| c.get())
+}
+
 /// Outcome of [`help`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HelpOutcome {
@@ -518,12 +528,17 @@ pub enum HelpOutcome {
 
 /// The idempotent helping procedure (Algorithm 1, `Help`).
 ///
-/// Every caller tags from the first AffectSet element. The paper lets
-/// helpers — who discovered the Info through an already-tagged node — start
-/// from the second; here they re-check the first too (a CAS that finds the
-/// tag already there), because a crash image can keep a later tag while
-/// losing the first one, and an update applied without the first tag in
-/// place races other writers of that node (DESIGN.md §4).
+/// `invoker` selects the tagging start position: the invoker tags from the
+/// first AffectSet element; helpers — who discovered the Info through an
+/// already-tagged node — start from the second. Over a crash image (the
+/// crash simulator, or the attach-time replay of
+/// [`with_release_suspended`]) helpers start from the first too: one
+/// attempt's tags persist in any subset, so a helper can meet a surviving
+/// later tag while the first one was lost, and an update applied without
+/// the first tag in place races other writers of that node. A live helper
+/// must not: the first position's expected value was released before the
+/// helper could see the descriptor, so its address may have been recycled
+/// into that very cell (DESIGN.md §4).
 ///
 /// # Safety
 /// `info` must point to a filled, live `Info` reachable per the protocol;
@@ -531,6 +546,7 @@ pub enum HelpOutcome {
 /// descriptor.
 pub unsafe fn help<M: Persist, const ARM: u8>(
     info: *mut Info<M>,
+    invoker: bool,
     guard: &Guard<'_>,
 ) -> HelpOutcome {
     let r = unsafe { &*info };
@@ -541,24 +557,32 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
     let tagged_val = tag::tagged(info as u64);
     let untagged_val = tag::untagged(info as u64);
     let (naffect, nwrite, nnew, del_mask) = r.counts();
+    let start = if invoker || replaying_crash_image::<M>() { 0 } else { 1 };
 
     // ---- Tagging phase -------------------------------------------------
-    let mut k = 0;
+    let mut k = start;
     while k < naffect {
         let (cell, expected) = unsafe { r.affect_at(k) };
         debug_assert!(!tag::is_tagged(expected), "expected info values are untagged");
         let mut res = cell.cas(expected, tagged_val);
-        if res == tag::tagged(expected) && tag::addr_of(expected) != 0 {
+        if res == tag::tagged(expected)
+            && tag::addr_of(expected) != 0
+            && M::load(&r.result) == RES_BOT
+            && replaying_crash_image::<M>()
+        {
             // The cell holds the TAG of the operation X whose cleanup value
-            // (untagged X) we expected. In one execution a cell never holds
-            // a value twice (§4), so this is a crash image that rolled X's
-            // unflushed cleanup untag back (the tuned placements defer or
-            // elide it) — X itself completed before we gathered. Redo X's
-            // idempotent cleanup of this one cell and tag again. Without it
-            // a recovering invoker fails here while a durable tag of ours
-            // further on survives: the operation recovery reported as
-            // `Restart` is completed later by whoever meets that tag (an
-            // effect applied twice, or a response lost).
+            // (untagged X) this pending operation expected: a crash image
+            // that rolled X's unflushed cleanup untag back (the tuned
+            // placements defer or elide it) — X completed before we
+            // gathered. Redo X's idempotent cleanup of this one cell and
+            // tag again. Without it a recovering invoker fails here while a
+            // durable tag of ours further on survives: the operation
+            // recovery reported as `Restart` is completed later by whoever
+            // meets that tag (an effect applied twice, or a response lost).
+            // Only sound while X's address cannot have been recycled (see
+            // `replaying_crash_image`); in a live execution `tagged(X)` here
+            // is a recycled address's tag and must fail like any foreign
+            // value.
             let _ = cell.cas(res, expected);
             res = cell.cas(expected, tagged_val);
         }
@@ -621,6 +645,10 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
             if !old.is_null() {
                 unsafe { Info::release(old, 1, guard) };
             }
+            #[cfg(feature = "fault-inject")]
+            if k == 0 {
+                crate::fault::first_tag();
+            }
         }
         k += 1;
     }
@@ -629,6 +657,15 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
         for k in 0..naffect {
             let (cell, _) = unsafe { r.affect_at(k) };
             arm::pwb_arm::<M, ARM>(cell);
+        }
+    } else {
+        // Hardening beyond the paper's pseudocode: positions this caller did
+        // not visit (position 0 for helpers) may carry a tag whose write-back
+        // the crashed invoker never completed. Re-flush them so no update is
+        // ever durable while a tag it depends on is not (DESIGN.md §4).
+        for k in 0..start {
+            let (cell, _) = unsafe { r.affect_at(k) };
+            M::pwb(cell);
         }
     }
     // Link-persist: for a single-affect operation (the queue's enqueue) the
@@ -774,7 +811,7 @@ mod tests {
         let a1 = cellv(0);
         let w = cellv(100);
         let info = unsafe { mk_info(&a0, 0, &a1, 0, &w, 100, 200, 0b10) };
-        let out = unsafe { help::<M, 0>(info, &g) };
+        let out = unsafe { help::<M, 0>(info, true, &g) };
         assert_eq!(out, HelpOutcome::Done);
         assert_eq!(w.load(), 200, "write applied");
         assert_eq!(unsafe { &*info }.result.load(), RES_TRUE);
@@ -802,9 +839,10 @@ mod tests {
         let w = cellv(100);
         let d = unsafe { mk_info(&a0, tag::untagged(x as u64), &a1, 0, &w, 100, 200, 0b10) };
         a1.store(tag::tagged(d as u64));
-        // Recovery re-runs D as its invoker: it must complete, not fail at
-        // position 0 and leave its a1 tag for a later helper to complete.
-        assert_eq!(unsafe { help::<M, 0>(d, &g) }, HelpOutcome::Done);
+        // Attach-time replay re-runs D as its invoker: it must complete, not
+        // fail at position 0 and leave its a1 tag for a later helper.
+        let out = with_release_suspended(|| unsafe { help::<M, 0>(d, true, &g) });
+        assert_eq!(out, HelpOutcome::Done);
         assert_eq!(w.load(), 200, "the pending update applied");
         assert_eq!(unsafe { &*d }.result.load(), RES_TRUE);
         assert_eq!(a0.load(), tag::untagged(d as u64));
@@ -814,26 +852,49 @@ mod tests {
     }
 
     #[test]
+    fn live_help_never_untags_a_recycled_address() {
+        // Live execution: D expected a0 = untagged(X), but X's address was
+        // freed and recycled, and the new operation at that address has a0
+        // tagged right now. That tag is not D's to clear: D fails at
+        // position 0 and the live operation keeps its tag.
+        let _gate = crate::counters::gate_shared();
+        let ctx = Ctx::new();
+        let g = ctx.c.pin();
+        let (x0, x1, xw) = (cellv(0), cellv(0), cellv(1));
+        let x = unsafe { mk_info(&x0, 0, &x1, 0, &xw, 1, 2, 0b10) };
+        let a0 = cellv(tag::tagged(x as u64));
+        let (a1, w) = (cellv(0), cellv(100));
+        let d = unsafe { mk_info(&a0, tag::untagged(x as u64), &a1, 0, &w, 100, 200, 0b10) };
+        assert_eq!(unsafe { help::<M, 0>(d, true, &g) }, HelpOutcome::FailedAt(0));
+        assert_eq!(a0.load(), tag::tagged(x as u64), "the live tag survives");
+        assert_eq!((w.load(), a1.load()), (100, 0));
+        unsafe { Info::release(x, 3, &g) };
+        unsafe { Info::release(d, 3, &g) };
+    }
+
+    #[test]
     fn crash_split_tags_are_completed_or_cleared_from_position_zero() {
         // One attempt's tags persist in any subset. (a) Position 0 lost its
-        // tag, position 1 kept it: whoever meets that tag re-tags position 0
-        // before the update. (b) A backtrack's untag of position 0 persisted
-        // but not the one of position 1: the failed attempt's stray tag is
-        // cleared instead of being helped forever.
+        // tag, position 1 kept it: a helper that meets that tag during the
+        // replay re-tags position 0 before the update. (b) A backtrack's
+        // untag of position 0 persisted but not the one of position 1: the
+        // failed attempt's stray tag is cleared instead of being helped
+        // forever.
         let _gate = crate::counters::gate_shared();
         let ctx = Ctx::new();
         let g = ctx.c.pin();
         let (a0, a1, w) = (cellv(0), cellv(0), cellv(100));
         let d = unsafe { mk_info(&a0, 0, &a1, 0, &w, 100, 200, 0b10) };
         a1.store(tag::tagged(d as u64));
-        assert_eq!(unsafe { help::<M, 0>(d, &g) }, HelpOutcome::Done);
+        let out = with_release_suspended(|| unsafe { help::<M, 0>(d, false, &g) });
+        assert_eq!(out, HelpOutcome::Done);
         assert_eq!((w.load(), a0.load()), (200, tag::untagged(d as u64)));
 
         let (b0, b1, v) = (cellv(0), cellv(0), cellv(100));
         let e = unsafe { mk_info(&b0, 0, &b1, 0, &v, 100, 200, 0b10) };
         b0.store(tag::untagged(e as u64));
         b1.store(tag::tagged(e as u64));
-        assert_eq!(unsafe { help::<M, 0>(e, &g) }, HelpOutcome::FailedAt(0));
+        assert_eq!(unsafe { help::<M, 0>(e, true, &g) }, HelpOutcome::FailedAt(0));
         assert_eq!((v.load(), b1.load()), (100, tag::untagged(e as u64)));
         unsafe { Info::release(d, 3, &g) };
         unsafe { Info::release(e, 3, &g) };
@@ -848,7 +909,7 @@ mod tests {
         let a1 = cellv(0);
         let w = cellv(100);
         let info = unsafe { mk_info(&a0, 0, &a1, 0, &w, 100, 200, 0b10) };
-        assert_eq!(unsafe { help::<M, 0>(info, &g) }, HelpOutcome::Done);
+        assert_eq!(unsafe { help::<M, 0>(info, true, &g) }, HelpOutcome::Done);
         w.store(777); // someone else moved the world on
 
         // Re-execution (recovery): the tag CAS on a0 fails (the cell now
@@ -857,7 +918,7 @@ mod tests {
         // WITHOUT re-running the write (Algorithm 1's completion check; an
         // invoker that mistook this for failure would re-initialize nodes
         // that are reachable).
-        let out = unsafe { help::<M, 0>(info, &g) };
+        let out = unsafe { help::<M, 0>(info, true, &g) };
         assert_eq!(out, HelpOutcome::Done);
         assert_eq!(w.load(), 777, "idempotence: update not re-applied");
         assert_eq!(unsafe { &*info }.result.load(), RES_TRUE, "result survives");
@@ -877,11 +938,11 @@ mod tests {
         let a1 = cellv(0);
         let w = cellv(100);
         let info = unsafe { mk_info(&a0, 0, &a1, 0, &w, 100, 200, 0b10) };
-        assert_eq!(unsafe { help::<M, 0>(info, &g) }, HelpOutcome::Done);
+        assert_eq!(unsafe { help::<M, 0>(info, true, &g) }, HelpOutcome::Done);
         a0.store(0xF0F0); // later op's value in the released cell
         w.store(777);
         assert_eq!(
-            unsafe { help::<M, 0>(info, &g) },
+            unsafe { help::<M, 0>(info, true, &g) },
             HelpOutcome::Done,
             "foreign value + result set = the operation completed"
         );
@@ -894,7 +955,7 @@ mod tests {
         let w2 = cellv(100);
         let info2 = unsafe { mk_info(&b0, 0, &b1, 0, &w2, 100, 200, 0) };
         assert_eq!(
-            unsafe { help::<M, 0>(info2, &g) },
+            unsafe { help::<M, 0>(info2, true, &g) },
             HelpOutcome::FailedAt(0),
             "foreign value + result unset = genuine failure"
         );
@@ -914,7 +975,7 @@ mod tests {
         // Simulate a crash after tagging both nodes but before the update:
         a0.store(tag::tagged(info as u64));
         a1.store(tag::tagged(info as u64));
-        let out = unsafe { help::<M, 0>(info, &g) };
+        let out = unsafe { help::<M, 0>(info, true, &g) };
         assert_eq!(out, HelpOutcome::Done, "re-tagging treats tagged(info) as success");
         assert_eq!(w.load(), 200);
         // Releases happened for... no prior values (tag CAS saw res == tagged).
@@ -931,7 +992,7 @@ mod tests {
         let a1 = cellv(0xdead0); // does not match expected 0
         let w = cellv(100);
         let info = unsafe { mk_info(&a0, 0, &a1, 0, &w, 100, 200, 0b10) };
-        let out = unsafe { help::<M, 0>(info, &g) };
+        let out = unsafe { help::<M, 0>(info, true, &g) };
         assert_eq!(out, HelpOutcome::FailedAt(1));
         assert_eq!(a0.load(), tag::untagged(info as u64), "prefix untagged");
         assert_eq!(a1.load(), 0xdead0, "conflicting cell untouched");
@@ -951,7 +1012,7 @@ mod tests {
         let info = unsafe { mk_info(&a0, 0, &a1, 0, &w, 100, 200, 0b10) };
         // Invoker tagged a0, then stalled; a helper picks it up.
         a0.store(tag::tagged(info as u64));
-        let out = unsafe { help::<M, 0>(info, &g) };
+        let out = unsafe { help::<M, 0>(info, false, &g) };
         assert_eq!(out, HelpOutcome::Done);
         assert_eq!(w.load(), 200);
         assert_eq!(a0.load(), tag::untagged(info as u64), "helper's cleanup untags position 0");
@@ -968,7 +1029,7 @@ mod tests {
         let w = cellv(100);
         let info = unsafe { mk_info(&a0, 0, &a1, 0, &w, 100, 200, 0b10) };
         a0.store(tag::tagged(info as u64)); // invoker got this far, then died
-        let out = unsafe { help::<M, 0>(info, &g) };
+        let out = unsafe { help::<M, 0>(info, false, &g) };
         assert_eq!(out, HelpOutcome::FailedAt(1));
         assert_eq!(a0.load(), tag::untagged(info as u64), "helper backtracks the invoker's tag");
         unsafe { Info::release(info, 3, &g) };
@@ -1000,7 +1061,7 @@ mod tests {
         let a1 = cellv(0);
         let w = cellv(1);
         let info = unsafe { mk_info(&a0, tag::untagged(old as u64), &a1, 0, &w, 1, 2, 0b10) };
-        assert_eq!(unsafe { help::<M, 0>(info, &g) }, HelpOutcome::Done);
+        assert_eq!(unsafe { help::<M, 0>(info, true, &g) }, HelpOutcome::Done);
         // The winning tag CAS over `old`'s value released its last reference:
         // old has been retired (freed when the collector drains) — we can't
         // touch it; absence of double-free is checked by the collector drop.
@@ -1052,7 +1113,7 @@ mod tests {
         let before = mine();
         {
             let g = ctx.c.pin();
-            unsafe { help::<M, 0>(info, &g) };
+            unsafe { help::<M, 0>(info, true, &g) };
         }
         let paper = mine().since(&before);
 
@@ -1061,7 +1122,7 @@ mod tests {
         let before = mine();
         {
             let g = ctx.c.pin();
-            unsafe { help::<M, 1>(info2, &g) };
+            unsafe { help::<M, 1>(info2, true, &g) };
         }
         let tuned = mine().since(&before);
         assert!(tuned.psync < paper.psync, "tuned {tuned:?} vs paper {paper:?}");

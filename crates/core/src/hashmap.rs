@@ -27,10 +27,11 @@
 //! **Bucket initialization** runs only inside `insert`: after marking the
 //! invocation (`CP_q := 0`) it inserts the guard and then the sentinel from
 //! the parent bucket's sentinel with [`SetCore::insert_untracked`], which
-//! leaves the pending operation's `RD_q`/`CP_q` alone — one recovery
-//! record per process, as the paper requires. `find` and `delete` start at
-//! the nearest initialized ancestor and write nothing. The initial `shards`
-//! buckets are built with the map.
+//! leaves the pending operation's `RD_q`/`CP_q` alone — one operation
+//! record per process, as the paper requires — and publishes its own
+//! descriptor in the process's `SD_q`, which recovery helps to completion
+//! first. `find` and `delete` start at the nearest initialized ancestor and
+//! write nothing. The initial `shards` buckets are built with the map.
 //!
 //! All buckets share **one** [`RecArea`] and one collector; pointer
 //! freshness (DESIGN.md §4) and Op-Recover are those of the single list.
@@ -48,7 +49,7 @@ use nvm::mapped::{MapError, MappedHeap, MappedNvm, DEFAULT_HEAP_BYTES};
 use nvm::{CachePadded, Persist};
 use reclaim::Collector;
 use std::path::Path;
-use std::sync::atomic::{AtomicIsize, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Default initial bucket count for [`RHashMap::new`].
@@ -275,6 +276,9 @@ pub struct RHashMap<M: Persist, const ARM: u8 = 0> {
     /// User keys this process saw inserted minus deleted (after an attach:
     /// plus the census). Drives growth only; each process keeps its own.
     count: CachePadded<AtomicIsize>,
+    /// Set when this process adopted the map from a live shared heap: its
+    /// first operation fills the directory from the list.
+    adopting: AtomicBool,
     rec: RecArea<M>,
     // `collector` must drop before `pools` (drop-time drain recycles into
     // the free lists).
@@ -352,6 +356,7 @@ impl<M: Persist, const ARM: u8> RHashMap<M, ARM> {
             dir: Directory::new(),
             size: CachePadded::new(AtomicUsize::new(shards)),
             count: CachePadded::new(AtomicIsize::new(0)),
+            adopting: AtomicBool::new(false),
             rec,
             collector,
             pools,
@@ -391,9 +396,13 @@ impl<M: Persist, const ARM: u8> RHashMap<M, ARM> {
         unsafe { SetCore::new(start, &self.rec, &self.collector, &self.pools) }
     }
 
-    /// The bucket of list key `nk` at the current size.
+    /// The bucket of list key `nk` at the current size (every operation's
+    /// first step, so it also runs a pending adoption walk).
     #[inline]
     fn bucket_of(&self, nk: u64) -> usize {
+        if self.adopting.load(Ordering::Relaxed) {
+            self.index_live();
+        }
         bitrev62(nk >> 2) as usize & (self.size.load(Ordering::Relaxed) - 1)
     }
 
@@ -407,6 +416,26 @@ impl<M: Persist, const ARM: u8> RHashMap<M, ARM> {
             self.scrub_region(e, v);
         }
         (v != 0).then_some((v & !SCRUB) as *mut Node<M>)
+    }
+
+    /// Fills this process's directory and key count from a walk of the
+    /// live list (once, after adopting the map from a live shared heap):
+    /// each sentinel that directly follows its guard. Safe against
+    /// concurrent peers because sentinels are permanent.
+    #[cold]
+    fn index_live(&self) {
+        if !self.adopting.swap(false, Ordering::AcqRel) {
+            return;
+        }
+        let mut idx = Indexer::default();
+        let _g = self.collector.pin();
+        // SAFETY: the pin keeps every node reached from the head alive.
+        unsafe {
+            set_core::for_each_node(self.head, |n, key, _| {
+                idx.visit(self, n, key);
+            });
+        }
+        idx.finish(self);
     }
 
     /// Where a read-only walk for bucket `b` starts: its sentinel, or that
@@ -426,12 +455,12 @@ impl<M: Persist, const ARM: u8> RHashMap<M, ARM> {
     /// inserts, and records the sentinel. Both inserts have completed — the
     /// link is durable — before the directory entry is set.
     #[cold]
-    fn init_bucket(&self, b: usize) -> *mut Node<M> {
+    fn init_bucket(&self, pid: usize, b: usize) -> *mut Node<M> {
         let p = parent(b);
-        let from = self.initialized(p).unwrap_or_else(|| self.init_bucket(p));
+        let from = self.initialized(p).unwrap_or_else(|| self.init_bucket(pid, p));
         let core = self.core_at(from);
-        core.insert_untracked(guard_key(b));
-        let s = core.insert_untracked(sentinel_key(b));
+        core.insert_untracked(pid, guard_key(b));
+        let s = core.insert_untracked(pid, sentinel_key(b));
         // A racing initializer found the same permanent sentinel.
         let _ = self.dir.get_or_alloc(b).compare_exchange(
             0,
@@ -475,7 +504,7 @@ impl<M: Persist, const ARM: u8> RHashMap<M, ARM> {
                 // the initialization must not leave `CP_q = 1` naming the
                 // previous operation's descriptor.
                 self.rec.mark_invoked(pid);
-                self.init_bucket(b)
+                self.init_bucket(pid, b)
             }
         };
         let inserted = self.core_at(from).insert(pid, nk);
@@ -551,6 +580,19 @@ impl<M: Persist, const ARM: u8> RHashMap<M, ARM> {
             e.fetch_and(!SCRUB, Ordering::AcqRel);
         });
         self.core_at(self.head).try_scrub()
+    }
+
+    /// Reachable nodes whose info cell holds a tag: operations in flight,
+    /// or the leftovers of a crashed process not yet recovered (diagnostics;
+    /// a racy count while operations run).
+    pub fn tagged_nodes(&self) -> usize {
+        let _g = self.collector.pin();
+        let mut n = 0;
+        // SAFETY: the pin keeps every node reached from the head alive.
+        unsafe {
+            set_core::for_each_node(self.head, |_, _, info| n += tag::is_tagged(info) as usize);
+        }
+        n
     }
 
     /// Sorted snapshot of the user keys (requires exclusive access ⇒
@@ -684,7 +726,9 @@ impl<const ARM: u8> MappedLayout for RHashMap<MappedNvm, ARM> {
         let existing = unsafe { head_w.read() };
         if existing != 0 {
             // The rest of the directory waits for the census walk, which
-            // runs only after the image has been validated.
+            // runs only after the image has been validated — or, when a
+            // process adopts a live peer's map, for its first operation
+            // (`adopt_live`).
             let head = existing as *mut Node<MappedNvm>;
             return Ok(Self::assemble(head, shards, env.rec_area(), collector, pools, heap));
         }
@@ -725,30 +769,22 @@ impl<const ARM: u8> SlotOps for RHashMap<MappedNvm, ARM> {
     }
 
     unsafe fn census(&self, live: &mut AddrSet, info_refs: &mut AddrMap<u32>) {
-        let (mut users, mut top, mut region, mut prev) = (0isize, 0usize, 0usize, 0u64);
+        let mut idx = Indexer::default();
         // SAFETY: quiescent exclusive access over a validated image (caller).
         unsafe {
             set_core::for_each_node(self.head, |n, key, info| {
                 set_core::census_node(n, info, live, info_refs);
-                if key != set_core::KEY_MAX && key & 3 == SENTINEL && prev == key - 1 {
-                    region = bucket_of_sentinel(key);
-                    top = top.max(region);
-                    self.dir.get_or_alloc(region).store(n as u64, Ordering::Release);
-                } else if key != set_core::KEY_MAX && key & 3 == USER {
-                    users += 1;
-                }
+                let region = idx.visit(self, n, key);
                 if tag::is_tagged(info) {
                     self.dir.get_or_alloc(region).fetch_or(SCRUB, Ordering::AcqRel);
                 }
-                prev = key;
             });
         }
-        self.count.store(users, Ordering::Relaxed);
-        let mut size = self.shards().max((top + 1).next_power_of_two());
-        while users > (LOAD * size) as isize && size < MAX_BUCKETS {
-            size *= 2;
-        }
-        self.size.store(size, Ordering::Relaxed);
+        idx.finish(self);
+    }
+
+    fn adopt_live(&self) {
+        self.adopting.store(true, Ordering::Release);
     }
 
     fn each_cached(&mut self, f: &mut dyn FnMut(usize)) {
@@ -758,6 +794,49 @@ impl<const ARM: u8> SlotOps for RHashMap<MappedNvm, ARM> {
 
     fn into_any(self: Box<Self>) -> Box<dyn std::any::Any + Send + Sync> {
         self
+    }
+}
+
+/// Rebuilds a map's directory and key count from a walk of its list in
+/// list order (the attach census, or a live walk when a process adopts a
+/// map a peer created).
+#[derive(Default)]
+struct Indexer {
+    users: isize,
+    top: usize,
+    region: usize,
+    prev: u64,
+}
+
+impl Indexer {
+    /// Visits the next node; a sentinel that directly follows its guard
+    /// enters the directory. Returns the bucket whose stretch holds the node.
+    fn visit<M: Persist, const ARM: u8>(
+        &mut self,
+        map: &RHashMap<M, ARM>,
+        n: *mut Node<M>,
+        key: u64,
+    ) -> usize {
+        if key != set_core::KEY_MAX && key & 3 == SENTINEL && self.prev == key - 1 {
+            self.region = bucket_of_sentinel(key);
+            self.top = self.top.max(self.region);
+            map.dir.get_or_alloc(self.region).store(n as u64, Ordering::Release);
+        } else if key != set_core::KEY_MAX && key & 3 == USER {
+            self.users += 1;
+        }
+        self.prev = key;
+        self.region
+    }
+
+    /// Sets the key count and a bucket count that covers every sentinel
+    /// seen and keeps at most 32 keys per bucket.
+    fn finish<M: Persist, const ARM: u8>(self, map: &RHashMap<M, ARM>) {
+        map.count.store(self.users, Ordering::Relaxed);
+        let mut size = map.shards().max((self.top + 1).next_power_of_two());
+        while self.users > (LOAD * size) as isize && size < MAX_BUCKETS {
+            size *= 2;
+        }
+        map.size.store(size, Ordering::Relaxed);
     }
 }
 
@@ -884,6 +963,35 @@ mod tests {
         assert!(!map.find(0, n + 1));
         map.check_invariants();
         assert_eq!(map.snapshot_keys(), (1..=n).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn adopted_map_fills_its_directory_on_first_use() {
+        let _gate = crate::counters::gate_shared();
+        nvm::tid::set_tid(0);
+        let mut map = H::with_shards(1);
+        for k in 1..=5000u64 {
+            assert!(map.insert(0, k));
+        }
+        let size = map.shards();
+        let known = |map: &H| {
+            let mut n = 0;
+            map.dir.for_each(|_, e| n += (e.load(Ordering::Relaxed) != 0) as usize);
+            n
+        };
+        let before = known(&map);
+        // What a process adopting this list from a live peer starts with:
+        // bucket 0 only, the initial size, no keys counted.
+        map.dir = Directory::new();
+        map.dir.get_or_alloc(0).store(map.head as u64, Ordering::Release);
+        map.size.store(1, Ordering::Relaxed);
+        map.count.store(0, Ordering::Relaxed);
+        map.adopting.store(true, Ordering::Relaxed);
+        assert!(map.find(0, 4242));
+        assert_eq!(map.shards(), size, "the walk restores the bucket count");
+        assert_eq!(map.count.load(Ordering::Relaxed), 5000);
+        assert_eq!(known(&map), before, "every sentinel in the list is in the directory");
+        map.check_invariants();
     }
 
     #[test]

@@ -81,6 +81,7 @@ pub mod bst;
 pub mod counters;
 pub mod engine;
 pub mod exchanger;
+pub mod fault;
 pub mod hashmap;
 pub mod list;
 pub mod pool;

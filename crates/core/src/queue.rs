@@ -310,7 +310,7 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
         loop {
             let (last, last_info, walk_start) = unsafe { self.find_last() };
             if tag::is_tagged(last_info) {
-                unsafe { help::<M, ARM>(tag::ptr_of(last_info), &g) };
+                unsafe { help::<M, ARM>(tag::ptr_of(last_info), false, &g) };
                 continue;
             }
             unsafe {
@@ -342,7 +342,7 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
                 }
             }
             self.publish(pid, info, &mut published, &g);
-            match unsafe { help::<M, ARM>(info, &g) } {
+            match unsafe { help::<M, ARM>(info, true, &g) } {
                 HelpOutcome::Done => {
                     // Swing the tail hint; newnd's linkage is durable by now.
                     // Using the walk's starting value also heals a hint left
@@ -380,11 +380,11 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
             let s_info = unsafe { (*s).info.load() };
             let f = unsafe { (*s).next.load() };
             if tag::is_tagged(h_info) {
-                unsafe { help::<M, ARM>(tag::ptr_of(h_info), &g) };
+                unsafe { help::<M, ARM>(tag::ptr_of(h_info), false, &g) };
                 continue;
             }
             if tag::is_tagged(s_info) {
-                unsafe { help::<M, ARM>(tag::ptr_of(s_info), &g) };
+                unsafe { help::<M, ARM>(tag::ptr_of(s_info), false, &g) };
                 continue;
             }
             if f == 0 {
@@ -437,7 +437,7 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
                 }
             }
             self.publish(pid, info, &mut published, &g);
-            match unsafe { help::<M, ARM>(info, &g) } {
+            match unsafe { help::<M, ARM>(info, true, &g) } {
                 HelpOutcome::Done => {
                     // Never leave the tail hint pointing at the retired sentinel.
                     let _ = self.head.tail.cas(s as u64, f);
@@ -532,14 +532,14 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
                 let hv = self.head.info.load();
                 if tag::is_tagged(hv) {
                     dirty = true;
-                    help::<M, ARM>(tag::ptr_of(hv), &g);
+                    help::<M, ARM>(tag::ptr_of(hv), false, &g);
                 }
                 let mut n = self.head.ptr.load() as *mut Node<M>;
                 while !n.is_null() {
                     let iv = (*n).info.load();
                     if tag::is_tagged(iv) {
                         dirty = true;
-                        help::<M, ARM>(tag::ptr_of(iv), &g);
+                        help::<M, ARM>(tag::ptr_of(iv), false, &g);
                     }
                     n = (*n).next.load() as *mut Node<M>;
                 }

@@ -20,6 +20,13 @@
 //! defers the durability of `CP_q = 1` to the attempt's publish `psync`
 //! (ordering is still enforced with a `pfence`), saving one `psync` per
 //! operation.
+//!
+//! A third word, `SD_q`, names the descriptor of the process's *structural*
+//! insert in flight (a node a structure adds on its own behalf, such as a
+//! hash-map bucket sentinel, [`RecArea::publish_structural`]); it is
+//! cleared when that insert returns. It never decides a response; recovery
+//! only helps it to completion before it decides `RD_q`, so every tag a
+//! dead process can leave belongs to a descriptor that recovery replays.
 
 use crate::engine::Info;
 use nvm::pad::CachePadded;
@@ -31,11 +38,14 @@ pub struct ProcRec<M: Persist> {
     pub rd: PWord<M>,
     /// `CP_q`: 1 once `RD_q` has been initialised for the current operation.
     pub cp: PWord<M>,
+    /// `SD_q`: the descriptor of the structural insert in flight, if any
+    /// (see the module docs); holds one reference on it, like `RD_q`.
+    pub sd: PWord<M>,
 }
 
 impl<M: Persist> Default for ProcRec<M> {
     fn default() -> Self {
-        Self { rd: PWord::new(0), cp: PWord::new(0) }
+        Self { rd: PWord::new(0), cp: PWord::new(0), sd: PWord::new(0) }
     }
 }
 
@@ -225,11 +235,32 @@ impl<M: Persist> RecArea<M> {
         self.slot(pid).rd.load()
     }
 
-    /// Iterate all published info pointers (drop-time info scan).
+    /// Iterate all published info pointers, `RD_q` and `SD_q` of every
+    /// process (drop-time info scan, attach validation and census).
     pub fn each_published(&self, mut f: impl FnMut(u64)) {
         for pid in 0..MAX_PROCS {
-            f(self.slot(pid).rd.load());
+            let s = self.slot(pid);
+            f(s.rd.load());
+            f(s.sd.load());
         }
+    }
+
+    /// Publishes a structural insert's descriptor in `SD_q`, durably, before
+    /// its first tag (store, `pwb`, `psync`, as [`RecArea::publish`]); 0
+    /// clears it. Returns the previous `SD_q`, whose reference the caller
+    /// releases.
+    pub fn publish_structural(&self, pid: usize, info: u64) -> u64 {
+        let s = self.slot(pid);
+        let prev = s.sd.load();
+        s.sd.store(info);
+        M::pwb(&s.sd);
+        M::psync();
+        prev
+    }
+
+    /// The current `SD_q` of `pid`.
+    pub fn structural(&self, pid: usize) -> u64 {
+        self.slot(pid).sd.load()
     }
 
     /// The *system* half of an invocation: `CP_q := 0`, persisted. The paper
@@ -263,6 +294,8 @@ impl<M: Persist> RecArea<M> {
         M::pbarrier(&s.cp);
         s.rd.store(0);
         M::pbarrier(&s.rd);
+        s.sd.store(0);
+        M::pbarrier(&s.sd);
     }
 }
 
@@ -297,7 +330,7 @@ pub unsafe fn op_recover<M: Persist, const ARM: u8>(
     }
     let info = crate::tag::ptr_of::<Info<M>>(rd);
     unsafe {
-        let _ = crate::engine::help::<M, ARM>(info, guard);
+        let _ = crate::engine::help::<M, ARM>(info, true, guard);
         let res = M::load(&(*info).result);
         if res != crate::engine::RES_BOT {
             Recovered::Completed(res)
@@ -330,7 +363,10 @@ pub unsafe fn release_prev<M: Persist>(prev: u64, g: &reclaim::Guard<'_>) {
 /// serving. This is Op-Recover for exactly one pid — `Help` is lock-free
 /// and idempotent, so replaying it concurrently with live traffic is the
 /// ordinary helping path, not a special mode — followed by a durable slot
-/// reset and the release of the slot's descriptor reference.
+/// reset and the release of the slot's descriptor references. The
+/// structural descriptor in `SD_q` is helped first: the caller releases the
+/// dead process's epoch pins afterwards, and those pins are what keep the
+/// values a half-tagged descriptor still expects from being recycled.
 ///
 /// Direct-tracked announcements ([`crate::tag::DIRECT`]) are left in place
 /// and decided `Restart`: their resolution needs the owning structure's
@@ -377,6 +413,12 @@ pub unsafe fn recover_dead_pid_with(
     guard: &reclaim::Guard<'_>,
     on_decision: impl FnOnce(Recovered),
 ) -> Recovered {
+    let sd = rec.structural(pid);
+    if sd != 0 {
+        // SAFETY: as for `RD_q` below — published before its first tag,
+        // never freed while `SD_q` names it.
+        let _ = unsafe { crate::engine::help::<MappedNvm, 0>(crate::tag::ptr_of(sd), true, guard) };
+    }
     let (cp, rd) = rec.read(pid);
     let addr = crate::tag::addr_of(rd);
     if crate::tag::is_direct(rd) && addr != 0 {
@@ -391,12 +433,14 @@ pub unsafe fn recover_dead_pid_with(
     };
     on_decision(decision);
     rec.clear_slot(pid);
-    if addr != 0 {
-        // SAFETY: the RD slot held one reference on the descriptor and was
-        // durably cleared above, so this release runs at most once across
-        // recoverer supersessions. A foreign-owned final release leaks the
-        // block by design (engine owner-slot guard); full attach sweeps it.
-        unsafe { Info::<MappedNvm>::release(crate::tag::ptr_of(rd), 1, guard) };
+    // SAFETY: each slot word held one reference on its descriptor and was
+    // durably cleared above, so these releases run at most once across
+    // recoverer supersessions. A foreign-owned final release leaks the
+    // block by design (engine owner-slot guard); full attach sweeps it.
+    for p in [addr, sd] {
+        if p != 0 {
+            unsafe { Info::<MappedNvm>::release(crate::tag::ptr_of(p), 1, guard) };
+        }
     }
     decision
 }
@@ -679,6 +723,14 @@ pub trait SlotOps: Send + Sync {
     /// Post-scrub structural repair (e.g. the queue's tail-hint heal).
     fn heal(&mut self) {}
 
+    /// Marks a structure this process adopts from a live shared heap, where
+    /// no census runs, so it rebuilds its volatile per-process state (e.g.
+    /// the hash map's bucket directory) from the live structure. This runs
+    /// while joining, possibly before the thread registered its own tid,
+    /// so it must not pin or walk: the structure defers the rebuild to its
+    /// first operation. Default: nothing to rebuild.
+    fn adopt_live(&self) {}
+
     /// Census of the quiescent structure: every reachable node's payload
     /// address into `live`, and per descriptor still referenced from a node
     /// cell the number of referencing cells into `info_refs`.
@@ -907,6 +959,19 @@ pub unsafe fn finish_attach(
     // dead process persisted are recomputed from scratch below.
     let recovered = crate::engine::with_release_suspended(|| {
         let col = Collector::new();
+        // Structural inserts first: they never decide a response, and the
+        // tags they left must be resolved now, before this process
+        // allocates — their expected values are protected by nothing else.
+        for pid in 0..MAX_PROCS {
+            let sd = rec.structural(pid);
+            if sd != 0 {
+                let g = col.pin();
+                // SAFETY: validated above with every published descriptor.
+                let _ = unsafe {
+                    crate::engine::help::<MappedNvm, 0>(crate::tag::ptr_of(sd), true, &g)
+                };
+            }
+        }
         let decisions = (0..MAX_PROCS)
             .map(|pid| {
                 let g = col.pin();

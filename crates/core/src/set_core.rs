@@ -171,12 +171,14 @@ pub fn new_chain<M: Persist>(pools: Option<&SetPools<M>>, keys: &[u64]) -> Vec<*
     nodes
 }
 
-/// Walks the quiescent list from `head` to its `+∞` tail (inclusive),
-/// calling `f(node, key, info)` per reachable node.
+/// Walks the list from `head` to its `+∞` tail (inclusive), calling
+/// `f(node, key, info)` per reachable node.
 ///
 /// # Safety
 /// Requires quiescent exclusive access to a live list (or a validated one,
-/// see [`validate_bucket`]).
+/// see [`validate_bucket`]), or an EBR pin on the list's collector held
+/// across the call — the walk then reads the list as a search does, a racy
+/// snapshot under concurrent operations.
 pub unsafe fn for_each_node<M: Persist>(
     head: *mut Node<M>,
     mut f: impl FnMut(*mut Node<M>, u64, u64),
@@ -392,6 +394,15 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
         *published = info as u64;
     }
 
+    /// Replace `SD_q` with `info` (0 clears it), releasing the reference
+    /// the previous value held.
+    fn publish_structural(&self, pid: usize, info: u64, g: &Guard<'_>) {
+        let prev = self.rec.publish_structural(pid, info);
+        if prev != 0 {
+            unsafe { Info::<M>::release(tag::ptr_of(prev), 1, g) };
+        }
+    }
+
     /// Publish for the read-only `find` path: never touches `CP_q` (finds
     /// always restart), so it must not use the arm-aware publish that folds
     /// the coalescing arms' deferred `CP_q := 1` in.
@@ -437,21 +448,22 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
         self.insert_impl::<true>(pid, key).0
     }
 
-    /// Inserts `key` **without touching the recovery area**: no `RD_q :=
-    /// Null / CP_q := 1` prologue and no publication, so the calling
-    /// process's pending operation keeps its recovery record. Returns the
-    /// node holding `key` afterwards — the one just linked, or the present
-    /// one (whose insert has completed: it is found untagged, or helped).
+    /// Inserts `key` **without touching the operation's recovery record**:
+    /// no `RD_q := Null / CP_q := 1` prologue and no `RD_q` publication, so
+    /// process `pid`'s pending operation keeps its record. Returns the node
+    /// holding `key` afterwards — the one just linked, or the present one
+    /// (whose insert has completed: it is found untagged, or helped).
     ///
     /// For structural nodes a structure adds on its own behalf (the hash
-    /// map's bucket guards and sentinels): a crash mid-insert leaves at most
-    /// tags that helping completes on contact, and the caller re-inserts on
-    /// its retry. The descriptor is persisted before its first tag exactly
-    /// like a tracked one, but it is referenced only by the cells it tags,
-    /// so the reference `RD_q` would hold is dropped up front. A present
-    /// key costs no persistency instruction at all.
-    pub fn insert_untracked(&self, key: u64) -> *mut Node<M> {
-        self.insert_impl::<false>(0, key).1
+    /// map's bucket guards and sentinels). Each attempt's descriptor is
+    /// published in `pid`'s `SD_q` instead ([`RecArea::publish_structural`],
+    /// holding the reference `RD_q` would) until the insert returns, so the
+    /// recovery of a crashed or killed process helps an in-flight one to
+    /// completion like any published descriptor, before the process's pins
+    /// are released; the caller re-inserts on its retry. A present key costs
+    /// no persistency instruction at all.
+    pub fn insert_untracked(&self, pid: usize, key: u64) -> *mut Node<M> {
+        self.insert_impl::<false>(pid, key).1
     }
 
     /// [`SetCore::insert`] (`TRACKED`) or [`SetCore::insert_untracked`]:
@@ -476,15 +488,18 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
             let s = unsafe { self.search(key) };
             // Helping phase.
             if tag::is_tagged(s.pred_info) {
-                unsafe { help::<M, ARM>(tag::ptr_of(s.pred_info), &g) };
+                unsafe { help::<M, ARM>(tag::ptr_of(s.pred_info), false, &g) };
                 continue;
             }
             if tag::is_tagged(s.curr_info) {
-                unsafe { help::<M, ARM>(tag::ptr_of(s.curr_info), &g) };
+                unsafe { help::<M, ARM>(tag::ptr_of(s.curr_info), false, &g) };
                 continue;
             }
             let curr_key = unsafe { (*s.curr).key.load() };
             if curr_key == key && !TRACKED {
+                if published != 0 {
+                    self.publish_structural(pid, 0, &g); // a failed attempt's
+                }
                 unsafe {
                     self.pools.info.give(info, &g); // never filled nor published
                     self.drop_pending(newnd, newcurr, filled, &g);
@@ -549,11 +564,14 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
             if TRACKED {
                 self.publish(pid, info, &mut published, &g);
             } else {
-                // No RD_q reference: only the tagged cells hold this one.
-                unsafe { Info::release(info, 1, &g) };
+                self.publish_structural(pid, info as u64, &g);
+                published = info as u64;
             }
-            match unsafe { help::<M, ARM>(info, &g) } {
+            match crate::fault::scope(!TRACKED, || unsafe { help::<M, ARM>(info, true, &g) }) {
                 HelpOutcome::Done => {
+                    if !TRACKED {
+                        self.publish_structural(pid, 0, &g);
+                    }
                     unsafe { self.retire_node(s.curr, &g) };
                     return (true, newnd);
                 }
@@ -580,11 +598,11 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
         loop {
             let s = unsafe { self.search(key) };
             if tag::is_tagged(s.pred_info) {
-                unsafe { help::<M, ARM>(tag::ptr_of(s.pred_info), &g) };
+                unsafe { help::<M, ARM>(tag::ptr_of(s.pred_info), false, &g) };
                 continue;
             }
             if tag::is_tagged(s.curr_info) {
-                unsafe { help::<M, ARM>(tag::ptr_of(s.curr_info), &g) };
+                unsafe { help::<M, ARM>(tag::ptr_of(s.curr_info), false, &g) };
                 continue;
             }
             let curr_key = unsafe { (*s.curr).key.load() };
@@ -629,7 +647,7 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
                 self.persist_attempt(info, std::ptr::null_mut(), std::ptr::null_mut());
             }
             self.publish(pid, info, &mut published, &g);
-            match unsafe { help::<M, ARM>(info, &g) } {
+            match unsafe { help::<M, ARM>(info, true, &g) } {
                 HelpOutcome::Done => {
                     unsafe { self.retire_node(s.curr, &g) };
                     return true;
@@ -657,7 +675,7 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
         loop {
             let s = unsafe { self.search(key) };
             if tag::is_tagged(s.curr_info) {
-                unsafe { help::<M, ARM>(tag::ptr_of(s.curr_info), &g) };
+                unsafe { help::<M, ARM>(tag::ptr_of(s.curr_info), false, &g) };
                 continue;
             }
             let res = unsafe { (*s.curr).key.load() } == key;
@@ -734,7 +752,7 @@ impl<'a, M: Persist, const ARM: u8> SetCore<'a, M, ARM> {
                     let iv = (*n).info.load();
                     if tag::is_tagged(iv) {
                         dirty = true;
-                        help::<M, ARM>(tag::ptr_of(iv), &g);
+                        help::<M, ARM>(tag::ptr_of(iv), false, &g);
                     }
                     if (*n).key.load() == KEY_MAX {
                         break;

@@ -288,19 +288,29 @@ impl Store {
         // Joiners adopt the response table as-is: the initial attacher
         // validated/healed it, and live peers are mid-write in their slots.
         let resptab = ResponseTable::open(&heap)?;
-        // Peers may have grown the heap past what join mapped; make every
-        // published segment visible before following catalog pointers.
-        heap.refresh_segments()?;
-        // SAFETY: `catalog` is this heap's committed catalog block.
-        let cataloged = unsafe { heap.catalog_entries(catalog) }?;
-        let mut entries = HashMap::new();
-        for e in cataloged {
-            let s = construct_entry(&env, &e)?;
-            entries.insert(
-                e.name,
-                Entry { kind: e.kind, cfg: e.cfg, handle: Arc::from(s.into_any()) },
-            );
-        }
+        // Under the file lock that serializes entry creation (`Store::get`):
+        // a creator appends the catalog record first and installs the
+        // structure's roots after it, so an unlocked scan could meet a record
+        // whose root block is still zeroed — and `open` would then install a
+        // second, private structure there, whose every operation the other
+        // processes never see.
+        let entries = heap.with_file_lock(|| -> Result<_, AttachError> {
+            // Peers may have grown the heap past what join mapped; make every
+            // published segment visible before following catalog pointers.
+            heap.refresh_segments()?;
+            // SAFETY: `catalog` is this heap's committed catalog block.
+            let cataloged = unsafe { heap.catalog_entries(catalog) }?;
+            let mut entries = HashMap::new();
+            for e in cataloged {
+                let s = construct_entry(&env, &e)?;
+                s.adopt_live();
+                entries.insert(
+                    e.name,
+                    Entry { kind: e.kind, cfg: e.cfg, handle: Arc::from(s.into_any()) },
+                );
+            }
+            Ok(entries)
+        })??;
         let summary = AttachSummary { heap: *heap.report(), recovered: Vec::new(), swept: 0 };
         Ok(Self {
             heap,
@@ -402,7 +412,9 @@ impl Store {
                             found: e.cfg,
                         });
                     }
-                    return Ok(Arc::new(L::open(&env, cfg, e.root)?));
+                    let s = L::open(&env, cfg, e.root)?;
+                    s.adopt_live();
+                    return Ok(Arc::new(s));
                 }
                 // SAFETY: committed catalog block; mutation serialized by
                 // the file lock we hold.

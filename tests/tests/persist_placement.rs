@@ -19,8 +19,9 @@
 //!
 //! A split-ordered hash map adds one more row: the first insert into a bucket
 //! the directory just split off pays `mark_invoked` plus two tracking-free
-//! inserts (the bucket's guard and sentinel) on top of its own insert; every
-//! later operation on that bucket costs exactly one list operation.
+//! inserts (the bucket's guard and sentinel, each published in `SD_q`) on
+//! top of its own insert; every later operation on that bucket costs
+//! exactly one list operation.
 //!
 //! The table is checked for **pooled** (default) and **boxed** allocation,
 //! and again on a pooled list that was churned until its descriptors and
@@ -137,11 +138,12 @@ const QUEUE_LP: [(&str, GoldenCoal); 5] = [
 const MARK_INVOKED: Golden = (0, 1, 1, 0, 0, true, 0);
 
 /// One tracking-free insert of a new key ([`isb::set_core::SetCore::insert_untracked`]):
-/// the tracked insert-new row minus `begin`/`publish`, per arm.
-const UNTRACKED_ISB: Golden = (9, 1, 2, 0, 3, true, 2);
-const UNTRACKED_OPT: Golden = (11, 0, 0, 1, 2, true, 2);
-const UNTRACKED_COAL: GoldenCoal = (11, 0, 0, 0, 1, 2, true, 2);
-const UNTRACKED_LP: GoldenCoal = (8, 0, 0, 0, 1, 2, true, 2);
+/// the tracked insert-new row minus `begin`/`publish`, plus publishing and
+/// clearing `SD_q` (one `pwb` and one `psync` each), per arm.
+const UNTRACKED_ISB: Golden = (11, 1, 2, 0, 5, true, 2);
+const UNTRACKED_OPT: Golden = (13, 0, 0, 1, 4, true, 2);
+const UNTRACKED_COAL: GoldenCoal = (13, 0, 0, 0, 1, 4, true, 2);
+const UNTRACKED_LP: GoldenCoal = (10, 0, 0, 0, 1, 4, true, 2);
 
 /// The bucket-initialization row: insert-new + `mark_invoked` + two
 /// tracking-free inserts.

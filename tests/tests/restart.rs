@@ -1057,8 +1057,11 @@ fn shared_child_worker() {
     nvm::tid::set_tid(band.start);
     let map = store.hashmap::<0>("users", SHARDS).expect("users handle");
     let queue = store.queue::<0>("jobs").expect("jobs handle");
-    std::fs::write(dir.join(format!("ready_{idx}")), format!("{} {slot}", std::process::id()))
-        .unwrap();
+    // Written under a temporary name and renamed, so the parent never reads
+    // a half-written file.
+    let ready = dir.join(format!("ready_{idx}"));
+    std::fs::write(ready.with_extension("tmp"), format!("{} {slot}", std::process::id())).unwrap();
+    std::fs::rename(ready.with_extension("tmp"), ready).unwrap();
 
     let stop = dir.join("stop");
     let healer = {
@@ -1216,6 +1219,19 @@ fn wait_for(seed: u64, what: &str, mut cond: impl FnMut() -> bool) {
     }
 }
 
+/// Kills and reaps the children a round still holds when its checks panic,
+/// so a failed seed cannot leave workers running into later tests.
+struct Reaper(Vec<Option<std::process::Child>>);
+
+impl Drop for Reaper {
+    fn drop(&mut self) {
+        for c in self.0.iter_mut().flatten() {
+            let _ = c.kill();
+            let _ = c.wait();
+        }
+    }
+}
+
 /// One kill-one-of-N round. `second_kill` additionally SIGKILLs the
 /// *recoverer* mid-lease, so the last survivor must steal the lease and
 /// recover BOTH dead peers. Returns (acked ops verified, in-flight ops
@@ -1230,22 +1246,29 @@ fn run_one_shared_seed(seed: u64, second_kill: bool) -> (u64, u64, bool) {
     std::fs::create_dir_all(&dir).unwrap();
 
     let hold_ms: u64 = if second_kill { 400 } else { 250 };
-    let mut children: Vec<Option<std::process::Child>> = (0..SHARED_PROCS)
-        .map(|idx| {
-            Some(
-                std::process::Command::new(std::env::current_exe().unwrap())
-                    .args(["--exact", "shared_child_worker", "--include-ignored", "--nocapture"])
-                    .env("ISB_RESTART_DIR", &dir)
-                    .env("ISB_CHILD_IDX", idx.to_string())
-                    .env("ISB_RESTART_SEED", seed.to_string())
-                    .env("ISB_RECOVERY_HOLD_MS", hold_ms.to_string())
-                    .stdout(std::process::Stdio::null())
-                    .stderr(std::process::Stdio::null())
-                    .spawn()
-                    .expect("spawn shared child"),
-            )
-        })
-        .collect();
+    let mut children = Reaper(
+        (0..SHARED_PROCS)
+            .map(|idx| {
+                Some(
+                    std::process::Command::new(std::env::current_exe().unwrap())
+                        .args([
+                            "--exact",
+                            "shared_child_worker",
+                            "--include-ignored",
+                            "--nocapture",
+                        ])
+                        .env("ISB_RESTART_DIR", &dir)
+                        .env("ISB_CHILD_IDX", idx.to_string())
+                        .env("ISB_RESTART_SEED", seed.to_string())
+                        .env("ISB_RECOVERY_HOLD_MS", hold_ms.to_string())
+                        .stdout(std::process::Stdio::null())
+                        .stderr(std::process::Stdio::null())
+                        .spawn()
+                        .expect("spawn shared child"),
+                )
+            })
+            .collect(),
+    );
 
     // idx -> participant slot, from the ready files.
     let mut slots = [usize::MAX; SHARED_PROCS];
@@ -1274,7 +1297,7 @@ fn run_one_shared_seed(seed: u64, second_kill: bool) -> (u64, u64, bool) {
     std::thread::sleep(Duration::from_millis(30 + (seed * 37) % 170));
     let victim = (seed as usize) % SHARED_PROCS;
     let mut killed: Vec<usize> = vec![victim];
-    let mut c = children[victim].take().unwrap();
+    let mut c = children.0[victim].take().unwrap();
     c.kill().expect("SIGKILL victim");
     c.wait().expect("reap victim");
 
@@ -1290,7 +1313,7 @@ fn run_one_shared_seed(seed: u64, second_kill: bool) -> (u64, u64, bool) {
     if second_kill {
         // Kill the recoverer while it holds the lease; the last survivor
         // must detect it, STEAL the lease, and recover both dead peers.
-        let mut c = children[recoverer].take().unwrap();
+        let mut c = children.0[recoverer].take().unwrap();
         c.kill().expect("SIGKILL recoverer");
         c.wait().expect("reap recoverer");
         killed.push(recoverer);
@@ -1322,7 +1345,7 @@ fn run_one_shared_seed(seed: u64, second_kill: bool) -> (u64, u64, bool) {
     wait_for(seed, "all dead peers recovered by survivors", || all_done(&killed));
     std::fs::write(dir.join("stop"), b"").unwrap();
     for idx in live {
-        let mut c = children[idx].take().unwrap();
+        let mut c = children.0[idx].take().unwrap();
         let status = c.wait().expect("reap survivor");
         assert!(status.success(), "seed {seed}: survivor {idx} exited dirty: {status:?}");
     }
@@ -1545,6 +1568,116 @@ fn shared_kill_of_recoverer_is_superseded() {
          {total_inflight} in-flight ops resolved by the surviving recoverer"
     );
     assert!(total_acked > 0, "no seed produced any acked work — kill timing broken");
+}
+
+// ---------------------------------------------------------------------------
+// A peer SIGKILLed inside a hash-map bucket initialization: the survivor's
+// online recovery resolves its half-tagged structural insert
+// ---------------------------------------------------------------------------
+
+/// Child half: joins the parent's live shared store, inserts ascending keys
+/// into a one-bucket map until its directory doubles, and dies (SIGKILL)
+/// the moment the first bucket initialization's guard insert has tagged
+/// its first cell. Each insert is journaled (`S k` before, `A k` after).
+#[test]
+#[ignore = "child half of the bucket-initialization kill test; spawned by the parent test"]
+fn init_kill_child_worker() {
+    let Ok(dir) = std::env::var("ISB_INIT_KILL_DIR") else { return };
+    let dir = PathBuf::from(dir);
+    nvm::tid::set_tid(0);
+    let store = Store::open_shared_sized(heap_path(&dir), SHARED_HEAP_BYTES).expect("child join");
+    assert!(store.summary().heap.joined, "the parent is live: the child must join");
+    let slot = store.heap().my_participant().expect("participant slot");
+    let t = nvm::mapped::MappedHeap::tid_band(slot).start;
+    nvm::tid::set_tid(t);
+    let map = store.hashmap::<0>("grow", 1).expect("grow handle");
+    isb::fault::set_hook(Some(|p| {
+        if p == isb::fault::Point::StructuralFirstTag {
+            nvm::die_sigkill();
+        }
+    }));
+    std::fs::write(dir.join("ready"), slot.to_string()).unwrap();
+    let mut log = OpenOptions::new().create(true).append(true).open(dir.join("log")).unwrap();
+    for k in 1..=10_000u64 {
+        map.note_invocation(t);
+        log.write_all(format!("S {k}\n").as_bytes()).unwrap();
+        assert!(map.insert(t, k));
+        log.write_all(format!("A {k}\n").as_bytes()).unwrap();
+    }
+    panic!("no insert ever initialized a bucket");
+}
+
+/// A peer dies half-way through a bucket initialization's guard insert: its
+/// descriptor is published only in `SD_q` and tags one cell. The survivor's
+/// `recover_peer` must complete it before it releases the dead process's
+/// epoch pins (afterwards the values that descriptor still expects may be
+/// recycled), so no tag of the dead process outlives the recovery. The
+/// in-flight user insert had only marked its invocation and restarts; every
+/// acked insert survives, and the map keeps serving.
+#[test]
+fn shared_kill_inside_bucket_init_recovers_online() {
+    use std::os::unix::process::ExitStatusExt;
+    let dir = std::env::temp_dir().join(format!("isb_init_kill_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+
+    nvm::tid::set_tid(0);
+    let store = Store::open_shared_sized(heap_path(&dir), SHARED_HEAP_BYTES).expect("parent");
+    let t0 = nvm::mapped::MappedHeap::tid_band(store.heap().my_participant().unwrap()).start;
+    nvm::tid::set_tid(t0);
+    let map = store.hashmap::<0>("grow", 1).expect("grow handle");
+    let status = std::process::Command::new(std::env::current_exe().unwrap())
+        .args(["--exact", "init_kill_child_worker", "--include-ignored", "--nocapture"])
+        .env("ISB_INIT_KILL_DIR", &dir)
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::null())
+        .status()
+        .expect("run child");
+    assert_eq!(status.signal(), Some(9), "the child must die at the crash point: {status:?}");
+    let slot: usize = std::fs::read_to_string(dir.join("ready")).unwrap().parse().unwrap();
+    let (mut acked, mut inflight) = (Vec::new(), None);
+    for line in std::fs::read_to_string(dir.join("log")).unwrap().lines() {
+        let (rec, k) = line.split_once(' ').unwrap();
+        let k: u64 = k.parse().unwrap();
+        if rec == "A" {
+            acked.push(k);
+            inflight = None;
+        } else {
+            inflight = Some(k);
+        }
+    }
+    let inflight = inflight.expect("the child died inside an insert");
+    assert!(acked.len() > 32, "the directory can only have doubled after 32 keys");
+    assert!(map.tagged_nodes() > 0, "the child must die with its guard insert half-tagged");
+
+    let decisions = store.recover_peer(slot).expect("recover_peer").expect("lease");
+    let t = nvm::mapped::MappedHeap::tid_band(slot).start;
+    let decision = decisions.iter().find(|(pid, _)| *pid == t).map(|(_, d)| *d);
+    assert_eq!(decision, Some(Recovered::Restart), "the in-flight insert never began");
+    assert_eq!(map.tagged_nodes(), 0, "a dead process's tag outlived its recovery");
+    for &k in &acked {
+        assert!(map.find(t0, k), "acked key {k} lost");
+    }
+    assert!(!map.find(t0, inflight), "the restarted insert took effect");
+    // The survivor keeps serving: the re-invoked insert, then growth.
+    let more: Vec<u64> = (inflight..inflight + 400).collect();
+    for &k in &more {
+        assert!(map.insert(t0, k), "insert {k}");
+    }
+    for &k in acked.iter().chain(&more) {
+        assert!(map.find(t0, k), "key {k} after recovery");
+    }
+    drop((map, store));
+
+    // A full attach of the final image agrees.
+    let store = Store::open_shared_sized(heap_path(&dir), SHARED_HEAP_BYTES).expect("re-attach");
+    let map = store.hashmap::<0>("grow", 1).expect("grow handle");
+    for &k in acked.iter().chain(&more) {
+        assert!(map.find(t0, k), "key {k} after re-attach");
+    }
+    assert_eq!(map.tagged_nodes(), 0);
+    drop((map, store));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------------
