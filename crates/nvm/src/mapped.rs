@@ -1979,7 +1979,10 @@ impl MappedHeap {
         let s = &self.segs[i];
         let g0 = s.g_start.load(Relaxed);
         let granules = s.granules.load(Relaxed);
-        let limit = bump.min(g0 + granules);
+        // A segment wholly above the bump is empty: a kill between its
+        // growth being published and the first allocation from it leaves
+        // exactly that (its bitmap is still cross-checked below).
+        let limit = bump.clamp(g0, g0 + granules);
         let mut w = SegWalk::default();
         let mut committed_set: AddrSet = AddrSet::default();
         let mut g = g0;
@@ -3114,6 +3117,26 @@ mod tests {
             assert_eq!(unsafe { p.read() }, i as u64);
         }
         // The grown arena keeps allocating without error.
+        let p = heap.alloc(120).unwrap();
+        heap.commit(p);
+        drop(heap);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn segment_grown_but_never_allocated_from_reattaches() {
+        // A kill right after `grow` published a segment, before any
+        // allocation from it moved the persistent bump: the new segment
+        // lies wholly above the bump and holds no block.
+        let path = tmp("grow_empty");
+        {
+            let heap = MappedHeap::create(&path, MIN_HEAP_BYTES).unwrap();
+            heap.grow(4096).unwrap();
+            assert_eq!(heap.segments(), 2);
+        }
+        let heap = MappedHeap::attach(&path).unwrap();
+        assert_eq!(heap.report().segments, 2);
+        assert_eq!(heap.report().committed, 0);
         let p = heap.alloc(120).unwrap();
         heap.commit(p);
         drop(heap);
