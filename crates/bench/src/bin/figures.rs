@@ -436,7 +436,7 @@ impl Ctx {
     /// same structure on the process heap.
     fn fig10(&self) {
         use isb::hashmap::RHashMap as HM;
-        use nvm::MappedNvm;
+        use isb::store::Store;
         use std::time::Instant;
 
         nvm::tid::set_tid(nvm::MAX_PROCS - 1);
@@ -461,15 +461,17 @@ impl Ctx {
             let _ = std::fs::remove_file(&path);
             let t0 = Instant::now();
             {
-                let (map, _) = HM::<MappedNvm, 0>::attach(&path, 16).unwrap();
+                let store = Store::open(&path).unwrap();
+                let map = store.hashmap::<0>("map", 16).unwrap();
                 for k in 1..=n {
                     map.insert(nvm::MAX_PROCS - 1, k);
                 }
             }
             let fill_ms = t0.elapsed().as_secs_f64() * 1e3;
             let t1 = Instant::now();
-            let (map, summary) = HM::<MappedNvm, 0>::attach(&path, 16).unwrap();
+            let store = Store::open(&path).unwrap();
             let attach_ms = t1.elapsed().as_secs_f64() * 1e3;
+            let summary = store.summary();
             t_attach.row(
                 n.to_string(),
                 vec![
@@ -480,7 +482,7 @@ impl Ctx {
                     summary.swept as f64,
                 ],
             );
-            drop(map);
+            drop(store);
             let _ = std::fs::remove_file(&path);
         }
         self.emit("fig10_attach", &t_attach);
@@ -506,11 +508,12 @@ impl Ctx {
             let mapped = {
                 let path = dir.join(format!("tp_{threads}.heap"));
                 let _ = std::fs::remove_file(&path);
-                let (map, _) = HM::<MappedNvm, 0>::attach(&path, 16).unwrap();
-                let map = Arc::new(map);
+                let store = Store::open(&path).unwrap();
+                let map = store.hashmap::<0>("map", 16).unwrap();
                 prefill_set(&*map, range, 7);
                 nvm::stats::reset();
                 let r = run_set(map, cfg);
+                drop(store);
                 let _ = std::fs::remove_file(&path);
                 r
             };
@@ -530,11 +533,11 @@ impl Ctx {
     /// catalog layer costs. (a) store attach latency as the number of
     /// cataloged structures grows (the union census/sweep walks every
     /// entry's live set), (b) per-structure throughput when a map and a
-    /// queue share ONE heap versus each owning a dedicated heap (shared
-    /// bump allocator + shared recovery area vs private ones).
+    /// queue share ONE heap versus each owning a dedicated heap, a
+    /// one-entry store (shared bump allocator + shared recovery area vs
+    /// private ones).
     fn fig11(&self) {
         use isb::store::Store;
-        use nvm::MappedNvm;
         use std::time::Instant;
 
         nvm::tid::set_tid(nvm::MAX_PROCS - 1);
@@ -624,20 +627,23 @@ impl Ctx {
             let map_dedicated = {
                 let path = dir.join(format!("ded_map_{threads}.heap"));
                 let _ = std::fs::remove_file(&path);
-                let (map, _) = RHashMap::<MappedNvm, 0>::attach(&path, 16).unwrap();
-                let map = Arc::new(map);
+                let store = Store::open(&path).unwrap();
+                let map = store.hashmap::<0>("users", 16).unwrap();
                 prefill_set(&*map, range, 7);
                 nvm::stats::reset();
                 let r = run_set(map, cfg);
+                drop(store);
                 let _ = std::fs::remove_file(&path);
                 r.mops()
             };
             let queue_dedicated = {
                 let path = dir.join(format!("ded_q_{threads}.heap"));
                 let _ = std::fs::remove_file(&path);
-                let (q, _) = RQueue::<MappedNvm, 0>::attach(&path).unwrap();
+                let store = Store::open(&path).unwrap();
+                let q = store.queue::<0>("jobs").unwrap();
                 nvm::stats::reset();
-                let r = run_queue(Arc::new(q), qcfg);
+                let r = run_queue(q, qcfg);
+                drop(store);
                 let _ = std::fs::remove_file(&path);
                 r.mops()
             };
@@ -789,9 +795,8 @@ impl Ctx {
     /// each arm. On a single-vCPU host the 4-thread attach shows scheduling
     /// overhead, not speedup — see `bench_results/README.md`.
     fn fig13(&self) {
-        use isb::hashmap::RHashMap as HM;
+        use isb::store::Store;
         use nvm::mapped::MappedHeap;
-        use nvm::MappedNvm;
         use std::time::Instant;
 
         nvm::tid::set_tid(nvm::MAX_PROCS - 1);
@@ -819,8 +824,8 @@ impl Ctx {
             let path = dir.join(format!("attach_{n}.heap"));
             let _ = std::fs::remove_file(&path);
             {
-                let (map, _) =
-                    HM::<MappedNvm, 0>::attach_sized(&path, shards, initial_bytes).unwrap();
+                let store = Store::open_sized(&path, initial_bytes).unwrap();
+                let map = store.hashmap::<0>("map", shards).unwrap();
                 for k in 1..=n {
                     map.insert(pid, k);
                 }
@@ -833,15 +838,14 @@ impl Ctx {
                 nvm::mapped::set_attach_threads(threads);
                 let before = nvm::stats::snapshot();
                 let t0 = Instant::now();
-                let (map, summary) =
-                    HM::<MappedNvm, 0>::attach_sized(&path, shards, initial_bytes).unwrap();
+                let store = Store::open_sized(&path, initial_bytes).unwrap();
                 attach_ms[i] = t0.elapsed().as_secs_f64() * 1e3;
                 if threads == 4 {
                     par_ms = nvm::stats::snapshot().since(&before).attach_par_ms as f64;
                 }
-                committed = summary.heap.committed;
-                segments = summary.heap.segments;
-                drop(map);
+                committed = store.summary().heap.committed;
+                segments = store.summary().heap.segments;
+                drop(store);
             }
             nvm::mapped::set_attach_threads(0);
             t_attach.row(

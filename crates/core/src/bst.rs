@@ -28,18 +28,16 @@ use crate::engine::{help, HelpOutcome, Info, InfoFill, RES_FALSE, RES_TRUE};
 use crate::optype;
 use crate::pool::{Pool, PoolCfg, PoolItem};
 use crate::recovery::{
-    attach_standalone, op_recover, release_prev, AttachEnv, AttachError, AttachSummary,
-    MappedLayout, RecArea, Recovered, SlotOps,
+    op_recover, release_prev, AttachEnv, AttachError, MappedLayout, RecArea, Recovered, SlotOps,
 };
 use crate::tag;
 use nvm::addr_hash::{AddrMap, AddrSet};
-use nvm::mapped::{MapError, MappedHeap, MappedNvm, DEFAULT_HEAP_BYTES};
+use nvm::mapped::{MapError, MappedHeap, MappedNvm};
 use nvm::{PWord, Persist, PersistWords};
 use reclaim::{Collector, Guard};
-use std::path::Path;
 use std::sync::Arc;
 
-/// Superblock structure-kind tag of a mapped `RBst`.
+/// Store catalog-entry kind tag of a mapped `RBst`.
 pub const KIND_BST: u64 = 4;
 
 /// `∞₁`: larger than every user key.
@@ -638,22 +636,6 @@ unsafe fn drop_info_raw<M: Persist>(p: *mut u8) {
 }
 
 impl<const ARM: u8> RBst<MappedNvm, ARM> {
-    /// Attaches (or creates) a detectably recoverable BST backed by the
-    /// file-backed persistent heap at `path`, running the generic restart
-    /// driver ([`crate::recovery::attach_standalone`]) on an existing heap.
-    /// The calling thread must be registered (`nvm::tid::set_tid`).
-    pub fn attach(path: impl AsRef<Path>) -> Result<(Self, AttachSummary), AttachError> {
-        Self::attach_sized(path, DEFAULT_HEAP_BYTES)
-    }
-
-    /// [`RBst::attach`] with an explicit heap size for creation.
-    pub fn attach_sized(
-        path: impl AsRef<Path>,
-        heap_bytes: usize,
-    ) -> Result<(Self, AttachSummary), AttachError> {
-        attach_standalone::<Self>(path.as_ref(), (), heap_bytes)
-    }
-
     /// The persistent heap backing this tree.
     pub fn heap(&self) -> &Arc<MappedHeap> {
         self.mapped.as_ref().expect("mapped-mode tree")
@@ -984,6 +966,7 @@ mod tests {
 
     #[test]
     fn mapped_attach_bst_preserves_contents_across_detach() {
+        use crate::store::Store;
         let _gate = crate::counters::gate_shared();
         nvm::tid::set_tid(0);
         let path = std::env::temp_dir().join(format!(
@@ -996,24 +979,31 @@ mod tests {
         ));
         let _ = std::fs::remove_file(&path);
         {
-            let (t, s) = RBst::<nvm::MappedNvm, 0>::attach_sized(&path, 1 << 21).unwrap();
-            assert!(s.heap.created);
+            let store = Store::open_sized(&path, 1 << 21).unwrap();
+            assert!(store.summary().heap.created);
+            let t = store.bst::<0>("tree").unwrap();
             for k in [50u64, 20, 80, 10, 30, 70, 90, 25, 35] {
                 assert!(t.insert(0, k));
             }
             assert!(t.delete(0, 20));
         }
         {
-            let (mut t, s) = RBst::<nvm::MappedNvm, 0>::attach_sized(&path, 1 << 21).unwrap();
-            assert!(!s.heap.created);
-            assert_eq!(s.heap.poisoned, 0, "clean detach leaves no torn blocks");
+            let store = Store::open_sized(&path, 1 << 21).unwrap();
+            assert!(!store.summary().heap.created);
+            assert_eq!(store.summary().heap.poisoned, 0, "clean detach leaves no torn blocks");
+            let t = store.bst::<0>("tree").unwrap();
+            drop(store);
+            let mut t = Arc::into_inner(t).unwrap();
             assert_eq!(t.snapshot_keys(), vec![10, 25, 30, 35, 50, 70, 80, 90]);
             t.check_invariants();
             assert!(t.insert(0, 60));
             assert!(t.delete(0, 90));
         }
         {
-            let (mut t, _) = RBst::<nvm::MappedNvm, 0>::attach_sized(&path, 1 << 21).unwrap();
+            let store = Store::open_sized(&path, 1 << 21).unwrap();
+            let t = store.bst::<0>("tree").unwrap();
+            drop(store);
+            let mut t = Arc::into_inner(t).unwrap();
             assert_eq!(t.snapshot_keys(), vec![10, 25, 30, 35, 50, 60, 70, 80]);
             t.check_invariants();
         }

@@ -669,14 +669,18 @@ pub unsafe fn help<M: Persist, const ARM: u8>(
         }
     }
     // Link-persist: for a single-affect operation (the queue's enqueue) the
-    // tag-phase psync is merged into the update-phase psync below — the tag
-    // line stays in the coalescing set and is written back together with the
-    // link and the result. Sound because the descriptor and RD_q are already
-    // durable (publish psync'd before help), so a crash image holding any
-    // subset of {tag, link, result} re-runs this idempotent help from
-    // op_recover; see DESIGN.md §12. Multi-affect ops keep the barrier: their
-    // updates must never be durable before the full tag prefix is.
-    if !(arm::is_lp(ARM) && naffect == 1) {
+    // tag-phase psync becomes a pfence — free under TSO — and the update-phase
+    // psync below completes both phases. Sound because the descriptor and
+    // RD_q are already durable (publish psync'd before help). The fence
+    // stays: no update (nor `result`) may become durable before the tag it
+    // depends on (DESIGN.md §4, §12). Without it an image can hold the link
+    // without the tag, and a second pending enqueue that gathered the same
+    // last node re-tags that node first in recovery; the first enqueue's
+    // node is then linked but never completed, and its tag blocks every
+    // later enqueue. Multi-affect ops keep the psync.
+    if arm::is_lp(ARM) && naffect == 1 {
+        M::pfence();
+    } else {
         M::psync();
     }
 
@@ -849,6 +853,115 @@ mod tests {
         assert_eq!(unsafe { &*x }.installs(), 2, "a0's reference to X released once");
         unsafe { Info::release(x, 2, &g) };
         unsafe { Info::release(d, 3, &g) };
+    }
+
+    /// Records the order of persistency events, so a test can check a
+    /// placement's ordering (single-threaded use; CAS is not atomic).
+    struct Trace;
+
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Ev {
+        Store(usize),
+        Pwb(usize),
+        Fence,
+    }
+
+    thread_local! {
+        static EVENTS: std::cell::RefCell<Vec<Ev>> = const { std::cell::RefCell::new(Vec::new()) };
+    }
+
+    fn ev(e: Ev) {
+        EVENTS.with(|v| v.borrow_mut().push(e));
+    }
+
+    fn addr(w: &PWord<Trace>) -> usize {
+        w.addr() as usize
+    }
+
+    impl Persist for Trace {
+        const NAME: &'static str = "trace";
+        type Meta = ();
+        fn load(w: &PWord<Self>) -> u64 {
+            w.peek()
+        }
+        fn store(w: &PWord<Self>, v: u64) {
+            ev(Ev::Store(addr(w)));
+            w.poke(v);
+        }
+        fn cas(w: &PWord<Self>, old: u64, new: u64) -> u64 {
+            let cur = w.peek();
+            if cur == old {
+                ev(Ev::Store(addr(w)));
+                w.poke(new);
+            }
+            cur
+        }
+        fn pwb(w: &PWord<Self>) {
+            ev(Ev::Pwb(addr(w)));
+        }
+        fn pfence() {
+            ev(Ev::Fence);
+        }
+        fn psync() {
+            ev(Ev::Fence);
+        }
+        fn pbarrier(w: &PWord<Self>) {
+            ev(Ev::Pwb(addr(w)));
+            ev(Ev::Fence);
+        }
+        fn pwb_obj<T: PersistWords<Self> + ?Sized>(obj: &T) {
+            obj.each_word(&mut |w| ev(Ev::Pwb(addr(w))));
+        }
+        fn pbarrier_obj<T: PersistWords<Self> + ?Sized>(obj: &T) {
+            Self::pwb_obj(obj);
+            ev(Ev::Fence);
+        }
+    }
+
+    /// Under every arm an operation's tags must be written back and fenced
+    /// before its update is stored (and so before its `result`, which
+    /// Op-Recover reads as "took effect"): otherwise a crash image can hold
+    /// the update without the tag. The link-persist arm drops the one-affect
+    /// tag phase's psync (the queue's enqueue) but must keep a fence.
+    #[test]
+    fn every_arm_fences_the_tag_before_the_update() {
+        fn run<const ARM: u8>() {
+            let _gate = crate::counters::gate_shared();
+            let c = Collector::new();
+            let g = c.pin();
+            let (a0, w) = (Box::new(PWord::<Trace>::new(0)), Box::new(PWord::<Trace>::new(0)));
+            let info = Info::<Trace>::alloc();
+            unsafe {
+                Info::fill(
+                    info,
+                    &InfoFill {
+                        optype: 1,
+                        affect: &[(a0.addr() as u64, 0)],
+                        write: &[(w.addr() as u64, 0, 200)],
+                        newset: &[],
+                        del_mask: 0,
+                        presult: RES_TRUE,
+                    },
+                )
+            };
+            EVENTS.with(|v| v.borrow_mut().clear());
+            assert_eq!(unsafe { help::<Trace, ARM>(info, true, &g) }, HelpOutcome::Done);
+            let evs = EVENTS.with(|v| v.take());
+            let tag_wb =
+                evs.iter().position(|&e| e == Ev::Pwb(addr(&a0))).expect("tag written back");
+            let update = evs.iter().position(|&e| e == Ev::Store(addr(&w))).expect("update stored");
+            assert!(
+                evs[tag_wb..update].contains(&Ev::Fence),
+                "arm {ARM}: update stored before the tag was fenced: {evs:?}"
+            );
+            assert_eq!(w.load(), 200);
+            unsafe { Info::release(info, 2, &g) };
+        }
+        nvm::tid::set_tid(0);
+        run::<{ arm::PAPER }>();
+        run::<{ arm::TUNED }>();
+        run::<{ arm::COALESCED }>();
+        run::<{ arm::LP }>();
     }
 
     #[test]

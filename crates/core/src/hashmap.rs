@@ -38,17 +38,13 @@
 
 use crate::engine::RES_TRUE;
 use crate::pool::PoolCfg;
-use crate::recovery::{
-    attach_standalone, AttachEnv, AttachError, AttachSummary, MappedLayout, RecArea, Recovered,
-    SlotOps,
-};
+use crate::recovery::{AttachEnv, AttachError, MappedLayout, RecArea, Recovered, SlotOps};
 use crate::set_core::{self, Node, SetCore, SetPools};
 use crate::tag;
 use nvm::addr_hash::{AddrMap, AddrSet};
-use nvm::mapped::{MapError, MappedHeap, MappedNvm, DEFAULT_HEAP_BYTES};
+use nvm::mapped::{MapError, MappedHeap, MappedNvm};
 use nvm::{CachePadded, Persist};
 use reclaim::Collector;
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicIsize, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -61,7 +57,7 @@ pub const MAX_SHARDS: usize = 1 << 16;
 /// User keys lie in `[1, MAX_KEY)`.
 pub const MAX_KEY: u64 = 1 << 62;
 
-/// Superblock structure-kind tag of a mapped `RHashMap`.
+/// Store catalog-entry kind tag of a mapped `RHashMap`.
 pub const KIND_MAP: u64 = 1;
 
 /// Keys per bucket beyond which the directory doubles.
@@ -264,9 +260,10 @@ impl Drop for Directory {
 /// assert!(map.find(0, 42));
 /// ```
 ///
-/// With the mapped backend ([`RHashMap::attach`]) the same flow runs across
-/// an actual process restart: the attach replays Op-Recover for every
-/// process id and reports the decisions in its [`AttachSummary`].
+/// With the mapped backend ([`crate::store::Store::hashmap`]) the same flow
+/// runs across an actual process restart: the store's attach replays
+/// Op-Recover for every process id and reports the decisions in its
+/// [`crate::recovery::AttachSummary`].
 pub struct RHashMap<M: Persist, const ARM: u8 = 0> {
     /// The list head: key −∞, bucket 0's sentinel.
     head: *mut Node<M>,
@@ -648,36 +645,6 @@ impl<M: Persist, const ARM: u8> RHashMap<M, ARM> {
 }
 
 impl<const ARM: u8> RHashMap<MappedNvm, ARM> {
-    /// Attaches (or creates) a detectably recoverable hash map backed by the
-    /// file-backed persistent heap at `path`
-    /// ([`nvm::mapped::DEFAULT_HEAP_BYTES`] on creation).
-    ///
-    /// On an existing heap this runs the full restart-recovery sequence of
-    /// the generic driver ([`crate::recovery::attach_standalone`]): remap,
-    /// bounds-validated list walk, per-pid Op-Recover replay (decisions in
-    /// the [`AttachSummary`]), census + sweep — the census walk also
-    /// rebuilds the bucket directory and the key count.
-    ///
-    /// The calling thread must be registered ([`nvm::tid::set_tid`]). One
-    /// process attaches a heap at a time; `shards` (the initial bucket
-    /// count) and `ARM` must match the heap's recorded configuration.
-    pub fn attach(
-        path: impl AsRef<Path>,
-        shards: usize,
-    ) -> Result<(Self, AttachSummary), AttachError> {
-        Self::attach_sized(path, shards, DEFAULT_HEAP_BYTES)
-    }
-
-    /// [`RHashMap::attach`] with an explicit heap size for creation
-    /// (ignored when the heap already exists).
-    pub fn attach_sized(
-        path: impl AsRef<Path>,
-        shards: usize,
-        heap_bytes: usize,
-    ) -> Result<(Self, AttachSummary), AttachError> {
-        attach_standalone::<Self>(path.as_ref(), shards, heap_bytes)
-    }
-
     /// The persistent heap backing this map.
     pub fn heap(&self) -> &Arc<MappedHeap> {
         self.mapped.as_ref().expect("mapped-mode map")
@@ -1177,12 +1144,14 @@ mod tests {
 
     #[test]
     fn mapped_attach_preserves_contents_across_detach() {
+        use crate::store::Store;
         let _gate = crate::counters::gate_shared();
         nvm::tid::set_tid(0);
         let path = tmp_heap("roundtrip");
         {
-            let (map, s) = RHashMap::<nvm::MappedNvm, 0>::attach_sized(&path, 8, 1 << 21).unwrap();
-            assert!(s.heap.created);
+            let store = Store::open_sized(&path, 1 << 21).unwrap();
+            assert!(store.summary().heap.created);
+            let map = store.hashmap::<0>("map", 8).unwrap();
             for k in 1..=200u64 {
                 assert!(map.insert(0, k));
             }
@@ -1191,10 +1160,12 @@ mod tests {
             }
         }
         {
-            let (mut map, s) =
-                RHashMap::<nvm::MappedNvm, 0>::attach_sized(&path, 8, 1 << 21).unwrap();
-            assert!(!s.heap.created);
-            assert_eq!(s.heap.poisoned, 0, "clean detach leaves no torn blocks");
+            let store = Store::open_sized(&path, 1 << 21).unwrap();
+            assert!(!store.summary().heap.created);
+            assert_eq!(store.summary().heap.poisoned, 0, "clean detach leaves no torn blocks");
+            let map = store.hashmap::<0>("map", 8).unwrap();
+            drop(store);
+            let mut map = Arc::into_inner(map).unwrap();
             for k in 1..=200u64 {
                 assert_eq!(map.find(0, k), k % 3 != 1, "key {k} after re-attach");
             }
@@ -1204,32 +1175,13 @@ mod tests {
             assert!(map.delete(0, 2));
         }
         {
-            let (mut map, _) =
-                RHashMap::<nvm::MappedNvm, 0>::attach_sized(&path, 8, 1 << 21).unwrap();
+            let store = Store::open_sized(&path, 1 << 21).unwrap();
+            let map = store.hashmap::<0>("map", 8).unwrap();
+            drop(store);
+            let mut map = Arc::into_inner(map).unwrap();
             assert!(map.find(0, 1000));
             assert!(!map.find(0, 2));
             map.check_invariants();
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn mapped_attach_rejects_config_mismatch() {
-        let _gate = crate::counters::gate_shared();
-        nvm::tid::set_tid(0);
-        let path = tmp_heap("cfg");
-        drop(RHashMap::<nvm::MappedNvm, 0>::attach_sized(&path, 8, 1 << 21).unwrap());
-        // Different shard count.
-        match RHashMap::<nvm::MappedNvm, 0>::attach_sized(&path, 16, 1 << 21) {
-            Err(AttachError::CfgMismatch { .. }) => {}
-            Err(e) => panic!("expected CfgMismatch, got {e}"),
-            Ok(_) => panic!("shard-count mismatch must fail"),
-        }
-        // Different tuning.
-        match RHashMap::<nvm::MappedNvm, 1>::attach_sized(&path, 8, 1 << 21) {
-            Err(AttachError::CfgMismatch { .. }) => {}
-            Err(e) => panic!("expected CfgMismatch, got {e}"),
-            Ok(_) => panic!("tuning mismatch must fail"),
         }
         let _ = std::fs::remove_file(&path);
     }

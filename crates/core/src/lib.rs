@@ -40,15 +40,17 @@
 //!   [`nvm::NoPersist`] is the private-cache model, [`nvm::SimNvm`] is the
 //!   adversarial crash simulator, and [`nvm::MappedNvm`] pairs real flushes
 //!   with a file-backed heap ([`nvm::mapped`]) so the structure survives an
-//!   actual process death — **every** structure gains an `attach(path)`
-//!   constructor through the generic [`recovery::MappedLayout`] driver
-//!   (remap, Op-Recover replay per process, scrub, census + leak sweep),
-//!   and [`store::Store`] hosts many *named* structures in one heap.
-//! * `ARM: bool` — the persistency *placement*. `false` is the paper's
-//!   general ROpt-ISB placement ("Isb"); `true` is the hand-tuned one
-//!   ("Isb-Opt"), which defers the durability of `CP_q := 1` and batches
-//!   tag write-backs, saving one `psync` per operation (see
-//!   [`recovery`]'s module docs).
+//!   actual process death. Every structure implements
+//!   [`recovery::MappedLayout`], so a [`store::Store`] can host it as a
+//!   named entry of one heap and recover it on re-open (remap, Op-Recover
+//!   replay per process, scrub, census + leak sweep).
+//! * `const ARM: u8` — the persistency *placement*, one of four cumulative
+//!   arms ([`arm`]): [`arm::PAPER`] is the paper's general ROpt-ISB
+//!   placement ("Isb"); [`arm::TUNED`] ("Isb-Opt") defers the durability
+//!   of `CP_q := 1` and batches tag write-backs, saving one `psync` per
+//!   operation (see [`recovery`]'s module docs); [`arm::COALESCED`]
+//!   ("Isb-Coal") adds per-operation cache-line flush coalescing; and
+//!   [`arm::LP`] ("Isb-LP") adds the link-persist elisions.
 //!
 //! ## Memory: pools and recycling
 //!

@@ -12,21 +12,17 @@
 
 use crate::engine::RES_TRUE;
 use crate::pool::PoolCfg;
-use crate::recovery::{
-    attach_standalone, AttachEnv, AttachError, AttachSummary, MappedLayout, RecArea, Recovered,
-    SlotOps,
-};
+use crate::recovery::{AttachEnv, AttachError, MappedLayout, RecArea, Recovered, SlotOps};
 use crate::set_core::{self, SetCore, SetPools};
 use nvm::addr_hash::{AddrMap, AddrSet};
-use nvm::mapped::{MapError, MappedHeap, MappedNvm, DEFAULT_HEAP_BYTES};
+use nvm::mapped::{MapError, MappedHeap, MappedNvm};
 use nvm::Persist;
 use reclaim::Collector;
-use std::path::Path;
 use std::sync::Arc;
 
 pub use crate::set_core::{Node, KEY_MAX, KEY_MIN};
 
-/// Superblock structure-kind tag of a mapped `RList`.
+/// Store catalog-entry kind tag of a mapped `RList`.
 pub const KIND_LIST: u64 = 3;
 
 /// Detectably recoverable sorted linked list. `ARM = false` is the paper's
@@ -193,23 +189,6 @@ impl<M: Persist, const ARM: u8> RList<M, ARM> {
 }
 
 impl<const ARM: u8> RList<MappedNvm, ARM> {
-    /// Attaches (or creates) a detectably recoverable sorted list backed by
-    /// the file-backed persistent heap at `path`, running the generic
-    /// restart driver ([`crate::recovery::attach_standalone`]) on an
-    /// existing heap. The calling thread must be registered
-    /// (`nvm::tid::set_tid`).
-    pub fn attach(path: impl AsRef<Path>) -> Result<(Self, AttachSummary), AttachError> {
-        Self::attach_sized(path, DEFAULT_HEAP_BYTES)
-    }
-
-    /// [`RList::attach`] with an explicit heap size for creation.
-    pub fn attach_sized(
-        path: impl AsRef<Path>,
-        heap_bytes: usize,
-    ) -> Result<(Self, AttachSummary), AttachError> {
-        attach_standalone::<Self>(path.as_ref(), (), heap_bytes)
-    }
-
     /// The persistent heap backing this list.
     pub fn heap(&self) -> &Arc<MappedHeap> {
         self.mapped.as_ref().expect("mapped-mode list")
@@ -569,6 +548,7 @@ mod tests {
 
     #[test]
     fn mapped_attach_list_preserves_contents_across_detach() {
+        use crate::store::Store;
         let _gate = crate::counters::gate_shared();
         nvm::tid::set_tid(0);
         let path = std::env::temp_dir().join(format!(
@@ -581,8 +561,9 @@ mod tests {
         ));
         let _ = std::fs::remove_file(&path);
         {
-            let (list, s) = RList::<nvm::MappedNvm, 0>::attach_sized(&path, 1 << 21).unwrap();
-            assert!(s.heap.created);
+            let store = Store::open_sized(&path, 1 << 21).unwrap();
+            assert!(store.summary().heap.created);
+            let list = store.list::<0>("list").unwrap();
             for k in 1..=120u64 {
                 assert!(list.insert(0, k));
             }
@@ -591,9 +572,12 @@ mod tests {
             }
         }
         {
-            let (mut list, s) = RList::<nvm::MappedNvm, 0>::attach_sized(&path, 1 << 21).unwrap();
-            assert!(!s.heap.created);
-            assert_eq!(s.heap.poisoned, 0, "clean detach leaves no torn blocks");
+            let store = Store::open_sized(&path, 1 << 21).unwrap();
+            assert!(!store.summary().heap.created);
+            assert_eq!(store.summary().heap.poisoned, 0, "clean detach leaves no torn blocks");
+            let list = store.list::<0>("list").unwrap();
+            drop(store);
+            let mut list = Arc::into_inner(list).unwrap();
             for k in 1..=120u64 {
                 assert_eq!(list.find(0, k), k % 3 != 1, "key {k} after re-attach");
             }
@@ -602,7 +586,10 @@ mod tests {
             assert!(list.delete(0, 2));
         }
         {
-            let (mut list, _) = RList::<nvm::MappedNvm, 0>::attach_sized(&path, 1 << 21).unwrap();
+            let store = Store::open_sized(&path, 1 << 21).unwrap();
+            let list = store.list::<0>("list").unwrap();
+            drop(store);
+            let mut list = Arc::into_inner(list).unwrap();
             assert!(list.find(0, 1000));
             assert!(!list.find(0, 2));
             list.check_invariants();

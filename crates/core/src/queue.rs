@@ -46,18 +46,16 @@ use crate::engine::{
 use crate::optype;
 use crate::pool::{Pool, PoolCfg, PoolItem};
 use crate::recovery::{
-    attach_standalone, op_recover, release_prev, AttachEnv, AttachError, AttachSummary,
-    MappedLayout, RecArea, Recovered, SlotOps,
+    op_recover, release_prev, AttachEnv, AttachError, MappedLayout, RecArea, Recovered, SlotOps,
 };
 use crate::tag;
 use nvm::addr_hash::{AddrMap, AddrSet};
-use nvm::mapped::{MapError, MappedHeap, MappedNvm, DEFAULT_HEAP_BYTES};
+use nvm::mapped::{MapError, MappedHeap, MappedNvm};
 use nvm::{PWord, Persist, PersistWords};
 use reclaim::{Collector, Guard};
-use std::path::Path;
 use std::sync::Arc;
 
-/// Superblock structure-kind tag of a mapped `RQueue`.
+/// Store catalog-entry kind tag of a mapped `RQueue`.
 pub const KIND_QUEUE: u64 = 2;
 
 /// Enqueued values lie in `[0, MAX_VALUE)`: a dequeue's response encodes
@@ -225,12 +223,18 @@ impl<M: Persist, const ARM: u8> RQueue<M, ARM> {
         let s0: *mut Node<M> = Node::alloc(0, 0, 0);
         let info_pool = Pool::new_for::<M>(pool.clone(), &collector);
         let node_pool = Pool::new_for::<M>(pool, &collector);
+        let anchor = Box::new(Anchor {
+            ptr: PWord::new(s0 as u64),
+            info: PWord::new(0),
+            tail: PWord::new(s0 as u64),
+        });
+        // The initial anchor is durable state like any later one (as in the
+        // mapped `open`): enqueues write back only `tail`, so without this a
+        // crash image could roll `ptr`/`info` back to never-persisted values
+        // on the first dequeue's update.
+        M::pbarrier_obj(&*anchor);
         Self {
-            head: AnchorStore::Owned(Box::new(Anchor {
-                ptr: PWord::new(s0 as u64),
-                info: PWord::new(0),
-                tail: PWord::new(s0 as u64),
-            })),
+            head: AnchorStore::Owned(anchor),
             rec: RecArea::new(),
             collector,
             info_pool,
@@ -593,24 +597,6 @@ unsafe fn drop_info_raw<M: Persist>(p: *mut u8) {
 }
 
 impl<const ARM: u8> RQueue<MappedNvm, ARM> {
-    /// Attaches (or creates) a detectably recoverable queue backed by the
-    /// file-backed persistent heap at `path`. Same recovery sequence as
-    /// [`crate::hashmap::RHashMap::attach`] — the generic driver
-    /// ([`crate::recovery::attach_standalone`]) runs remap, per-pid
-    /// Op-Recover replay, [`RQueue::try_scrub`], tail-hint heal, census +
-    /// sweep. The calling thread must be registered (`nvm::tid::set_tid`).
-    pub fn attach(path: impl AsRef<Path>) -> Result<(Self, AttachSummary), AttachError> {
-        Self::attach_sized(path, DEFAULT_HEAP_BYTES)
-    }
-
-    /// [`RQueue::attach`] with an explicit heap size for creation.
-    pub fn attach_sized(
-        path: impl AsRef<Path>,
-        heap_bytes: usize,
-    ) -> Result<(Self, AttachSummary), AttachError> {
-        attach_standalone::<Self>(path.as_ref(), (), heap_bytes)
-    }
-
     /// The persistent heap backing this queue.
     pub fn heap(&self) -> &Arc<MappedHeap> {
         self.mapped.as_ref().expect("mapped-mode queue")
@@ -925,6 +911,7 @@ mod tests {
 
     #[test]
     fn mapped_attach_queue_preserves_contents_across_detach() {
+        use crate::store::Store;
         let _gate = crate::counters::gate_shared();
         nvm::tid::set_tid(0);
         let path = std::env::temp_dir().join(format!(
@@ -937,29 +924,66 @@ mod tests {
         ));
         let _ = std::fs::remove_file(&path);
         {
-            let (q, s) = RQueue::<nvm::MappedNvm, 0>::attach_sized(&path, 1 << 21).unwrap();
-            assert!(s.heap.created);
+            let store = Store::open_sized(&path, 1 << 21).unwrap();
+            assert!(store.summary().heap.created);
+            let q = store.queue::<0>("q").unwrap();
             for v in 1..=50u64 {
                 q.enqueue(0, v);
             }
             assert_eq!(q.dequeue(0), Some(1));
         }
         {
-            let (mut q, s) = RQueue::<nvm::MappedNvm, 0>::attach_sized(&path, 1 << 21).unwrap();
-            assert!(!s.heap.created);
+            let store = Store::open_sized(&path, 1 << 21).unwrap();
+            assert!(!store.summary().heap.created);
+            let q = store.queue::<0>("q").unwrap();
+            drop(store);
+            let mut q = Arc::into_inner(q).unwrap();
             assert_eq!(q.snapshot_vals(), (2..=50).collect::<Vec<_>>());
             q.check_invariants();
             assert_eq!(q.dequeue(0), Some(2));
             q.enqueue(0, 99);
         }
         {
-            let (mut q, _) = RQueue::<nvm::MappedNvm, 0>::attach_sized(&path, 1 << 21).unwrap();
+            let store = Store::open_sized(&path, 1 << 21).unwrap();
+            let q = store.queue::<0>("q").unwrap();
+            drop(store);
+            let mut q = Arc::into_inner(q).unwrap();
             let mut want: Vec<u64> = (3..=50).collect();
             want.push(99);
             assert_eq!(q.snapshot_vals(), want);
             q.check_invariants();
         }
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// The first dequeue's update CAS is the first write to the anchor's
+    /// `ptr` since construction; a crash before its write-back completes
+    /// must leave the constructed value (or the new one) in the image, never
+    /// a value that was never persisted.
+    #[test]
+    fn fresh_anchor_survives_a_crash_inside_the_first_dequeue() {
+        use nvm::{sim, SimNvm};
+        let _gate = crate::counters::gate_shared();
+        nvm::tid::set_tid(0);
+        for seed in 0..8 {
+            let _sim = sim::begin_session();
+            sim::reset();
+            let q = RQueue::<SimNvm, 0>::with_collector(Collector::disabled());
+            q.enqueue(0, 7);
+            sim::persist_all(); // a clean start, as the crash harness models it
+            let s0 = q.head.ptr.load();
+            // SAFETY: quiescent queue; the sentinel is live.
+            let s1 = unsafe { (*(s0 as *const Node<SimNvm>)).next.load() };
+            assert_ne!(s1, 0, "the enqueued node follows the sentinel");
+            assert_eq!(q.head.ptr.cas(s0, s1), s0);
+            sim::trigger_crash();
+            let rep = sim::build_crash_image(seed);
+            let p = q.head.ptr.load();
+            if rep.poisoned != 0 || (p != s0 && p != s1) {
+                std::mem::forget(q); // its drop would walk the bad pointer
+                panic!("seed {seed}: anchor ptr rolled back to {p:#x}, never persisted");
+            }
+        }
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //!    and the Info's `result` decides: set ⇒ the operation took effect and
 //!    this is its response; unset ⇒ it did not take effect and is re-invoked.
 //!
-//! The hand-tuned variant (`ARM = true`, "Isb-Opt" in the evaluation)
-//! defers the durability of `CP_q = 1` to the attempt's publish `psync`
+//! The hand-tuned arms (`ARM >= TUNED`, "Isb-Opt" and up in the evaluation)
+//! defer the durability of `CP_q = 1` to the attempt's publish `psync`
 //! (ordering is still enforced with a `pfence`), saving one `psync` per
 //! operation.
 //!
@@ -446,18 +446,12 @@ pub unsafe fn recover_dead_pid_with(
 }
 
 /// Root-directory keys the mapped backend registers in a heap's superblock.
-/// One heap hosts one structure (or one [`crate::store::Store`] catalog), so
-/// the keys only need to be unique within this set.
+/// Every mapped heap is one [`crate::store::Store`], so the keys only need
+/// to be unique within this set.
 pub mod rootkeys {
     /// The heap-wide [`super::RecArea`] slot array (shared by every
     /// structure in a store: one pending operation per process).
     pub const RECAREA: u64 = 0x5245_4341; // "RECA"
-    /// Structure configuration word, validated on re-attach (standalone
-    /// heaps; store entries record their cfg in the catalog instead).
-    pub const META: u64 = 0x4D45_5441; // "META"
-    /// The structure's root block (standalone heaps; store entries' root
-    /// blocks are named by the catalog).
-    pub const STRUCT: u64 = 0x5354_5543; // "STUC"
     /// The [`crate::store::Store`] catalog block.
     pub const CATALOG: u64 = 0x4341_5441; // "CATA"
     /// The shared cross-process epoch region ([`reclaim::Collector::attach_shared`]):
@@ -474,13 +468,13 @@ use nvm::mapped::{MapError, MappedHeap, MappedNvm};
 use reclaim::Collector;
 use std::sync::Arc;
 
-/// Typed failures of the mapped attach path ([`MappedLayout`] driver and
-/// [`crate::store::Store`]). Every shape of damaged image, mismatched
+/// Typed failures of the mapped attach path ([`crate::store::Store`] and
+/// the [`MappedLayout`] structures it hosts). Every shape of damaged image, mismatched
 /// configuration or non-quiescing recovery surfaces here — attach never
 /// panics the process and never exhibits undefined behaviour.
 #[derive(Debug)]
 pub enum AttachError {
-    /// Heap-level failure (I/O, corruption, exhaustion, superblock kind).
+    /// Heap-level failure (I/O, corruption, exhaustion).
     Map(MapError),
     /// The post-replay scrub did not quiesce within its pass budget: some
     /// tagged descriptor could not be helped to completion, which no crash
@@ -491,10 +485,10 @@ pub enum AttachError {
         /// Passes attempted before giving up.
         passes: usize,
     },
-    /// The named entry (or standalone heap) hosts a different structure
-    /// kind than the caller asked for.
+    /// The named entry hosts a different structure kind than the caller
+    /// asked for, or the heap itself is not a store.
     WrongKind {
-        /// Entry name (empty for a standalone heap).
+        /// Entry name (empty for the heap's own superblock kind).
         name: String,
         /// Kind tag the caller expected.
         expected: u64,
@@ -504,7 +498,7 @@ pub enum AttachError {
     /// The entry exists with a different configuration word (shard count /
     /// tuning) than the caller asked for.
     CfgMismatch {
-        /// Entry name (empty for a standalone heap).
+        /// Entry name.
         name: String,
         /// Configuration word the caller expected.
         expected: u64,
@@ -553,9 +547,6 @@ impl std::fmt::Display for AttachError {
             AttachError::WrongKind { name, expected, found } => {
                 write!(f, "entry {name:?} hosts structure kind {found}, expected {expected}")
             }
-            AttachError::CfgMismatch { name, expected, found } if name.is_empty() => {
-                write!(f, "heap records configuration {found:#x}, expected {expected:#x}")
-            }
             AttachError::CfgMismatch { name, expected, found } => {
                 write!(f, "entry {name:?} records configuration {found:#x}, expected {expected:#x}")
             }
@@ -600,7 +591,7 @@ pub struct AttachEnv {
 }
 
 impl AttachEnv {
-    /// Builds the environment over an attached heap (driver / store use).
+    /// Builds the environment over an attached heap (store use).
     pub(crate) fn new(heap: Arc<MappedHeap>, rec_base: *const u8) -> Self {
         let info_pool =
             crate::pool::Pool::with_arena(Arc::clone(&heap), crate::pool::DEFAULT_CAPACITY);
@@ -759,13 +750,11 @@ pub trait SlotOps: Send + Sync {
 /// attach-time operations of [`SlotOps`].
 ///
 /// Implementations are thin: the whole remap → validate → replay → scrub →
-/// census → sweep lifecycle lives once in [`attach_standalone`] /
-/// [`finish_attach`], shared by every structure and by the multi-structure
-/// [`crate::store::Store`].
+/// census → sweep lifecycle lives once in [`crate::store::Store`]'s attach,
+/// shared by every structure it catalogs.
 pub trait MappedLayout: SlotOps + Sized + std::any::Any {
-    /// Structure-kind tag (superblock kind for standalone heaps, catalog
-    /// entry kind inside a store). Tuning variants share a kind; the
-    /// configuration word carries the tuning bit.
+    /// Structure-kind tag of a store catalog entry. Tuning variants share
+    /// a kind; the configuration word carries the tuning bit.
     const KIND: u64;
     /// Human-readable kind name (errors/diagnostics).
     const KIND_NAME: &'static str;
@@ -773,8 +762,8 @@ pub trait MappedLayout: SlotOps + Sized + std::any::Any {
     type Cfg: Copy;
 
     /// Rejects unusable configurations with a typed error **before**
-    /// anything durable happens — once a config reaches the superblock or
-    /// the catalog it is permanent, so a bad one must never get that far.
+    /// anything durable happens — once a config reaches the catalog it is
+    /// permanent, so a bad one must never get that far.
     fn validate_cfg(_cfg: Self::Cfg) -> Result<(), AttachError> {
         Ok(())
     }
@@ -792,72 +781,6 @@ pub trait MappedLayout: SlotOps + Sized + std::any::Any {
     /// loads them otherwise. Must be idempotent — a creation cut short by a
     /// kill re-runs it.
     fn open(env: &AttachEnv, cfg: Self::Cfg, root: *mut u8) -> Result<Self, AttachError>;
-}
-
-/// Attaches (or creates) a standalone single-structure heap at `path` and
-/// runs the full restart-recovery sequence (see [`finish_attach`]). This is
-/// the one generic driver behind every structure's `attach(path)`.
-///
-/// The calling thread must be registered ([`nvm::tid::set_tid`]); one
-/// process attaches a heap at a time.
-pub fn attach_standalone<L: MappedLayout>(
-    path: &std::path::Path,
-    cfg: L::Cfg,
-    heap_bytes: usize,
-) -> Result<(L, AttachSummary), AttachError> {
-    L::validate_cfg(cfg)?;
-    let heap = MappedHeap::open(path, heap_bytes)?;
-    // kind == 0 also covers a creation cut short before the final stamp:
-    // every init step is idempotent, so re-running completes it.
-    let fresh = heap.kind() == 0;
-    if !fresh && heap.kind() != L::KIND {
-        return Err(AttachError::WrongKind {
-            name: String::new(),
-            expected: L::KIND,
-            found: heap.kind(),
-        });
-    }
-    let (rec_ptr, _) = heap.root_alloc(rootkeys::RECAREA, RecArea::<MappedNvm>::slots_bytes())?;
-    // Record (fresh) or validate (re-attach) the recovery-area geometry in
-    // the superblock: a binary compiled with different MAX_PROCS / slot
-    // stride must fail typed instead of misreading a peer's slots.
-    heap.validate_rec_geometry(MAX_PROCS as u64, ARENA_SLOT_STRIDE as u64)?;
-    let (meta_ptr, _) = heap.root_alloc(rootkeys::META, 16)?;
-    let cfg_word = L::cfg_word(cfg);
-    // SAFETY: single-threaded attach; committed 16-byte root block.
-    unsafe {
-        let meta = meta_ptr as *mut u64;
-        if fresh {
-            meta.write(cfg_word);
-        } else if meta.read() != cfg_word {
-            return Err(AttachError::CfgMismatch {
-                name: String::new(),
-                expected: cfg_word,
-                found: meta.read(),
-            });
-        }
-    }
-    let (root_ptr, _) = heap.root_alloc(rootkeys::STRUCT, L::root_bytes(cfg))?;
-    let env = AttachEnv::new(Arc::clone(&heap), rec_ptr);
-    let s = L::open(&env, cfg, root_ptr)?;
-    if fresh {
-        heap.set_kind(L::KIND);
-        return Ok((s, AttachSummary { heap: *heap.report(), recovered: Vec::new(), swept: 0 }));
-    }
-    let rec = env.rec_area();
-    let extra_live = [rec_ptr as usize, meta_ptr as usize, root_ptr as usize];
-    let mut slots: Vec<Box<dyn SlotOps>> = vec![Box::new(s)];
-    // SAFETY: quiescent single-threaded attach over a validated image; the
-    // slot list covers every structure in the heap (standalone: exactly one).
-    let (recovered, swept) =
-        unsafe { finish_attach(&heap, &rec, &mut slots, &extra_live, env.info_pool.handle())? };
-    let s = *slots
-        .pop()
-        .expect("one slot")
-        .into_any()
-        .downcast::<L>()
-        .expect("slot type is L by construction");
-    Ok((s, AttachSummary { heap: *heap.report(), recovered, swept }))
 }
 
 /// The shared restart-recovery epilogue over an already re-attached heap:
@@ -881,7 +804,7 @@ pub fn attach_standalone<L: MappedLayout>(
 /// be the heap's shared recovery area, `extra_live` every root/metadata
 /// block address, and `owner` the heap-wide Info pool handle. The calling
 /// thread must be registered.
-pub unsafe fn finish_attach(
+pub(crate) unsafe fn finish_attach(
     heap: &MappedHeap,
     rec: &RecArea<MappedNvm>,
     slots: &mut [Box<dyn SlotOps>],
@@ -1165,7 +1088,7 @@ pub unsafe fn census_epilogue<M: Persist>(
     unsafe { heap.sweep_except(live) }
 }
 
-/// What a mapped-backend `attach(path)` found and did: the heap-level
+/// What a [`crate::store::Store`] attach found and did: the heap-level
 /// [`nvm::mapped::AttachReport`] plus the structure-level recovery outcome.
 #[derive(Debug)]
 pub struct AttachSummary {

@@ -33,7 +33,7 @@
 //! the stack; a mismatched pair simply retries. Elimination is *volatile*
 //! (the exchanger lives on the process heap), so an eliminated transfer is
 //! not detectable across a crash — the mapped backend disables elimination
-//! ([`RStack::attach`] sets the budget to zero), and a push withdraws its
+//! (its [`MappedLayout::open`] sets the budget to zero), and a push withdraws its
 //! announcement before taking the elimination result.
 
 use crate::counters;
@@ -41,20 +41,18 @@ use crate::engine::{res_val, val_of, RES_UNIT};
 use crate::exchanger::{ExchangeResult, RExchanger};
 use crate::pool::{Pool, PoolCfg, PoolItem};
 use crate::recovery::{
-    attach_standalone, release_prev, AttachEnv, AttachError, AttachSummary, MappedLayout, RecArea,
-    Recovered, SlotOps,
+    release_prev, AttachEnv, AttachError, MappedLayout, RecArea, Recovered, SlotOps,
 };
 use crate::tag;
 use nvm::addr_hash::{AddrMap, AddrSet};
-use nvm::mapped::{MapError, MappedHeap, MappedNvm, DEFAULT_HEAP_BYTES};
+use nvm::mapped::{MapError, MappedHeap, MappedNvm};
 use nvm::pad::CachePadded;
 use nvm::{PWord, Persist, PersistWords, MAX_PROCS};
 use reclaim::{Collector, Guard};
 use std::cell::UnsafeCell;
-use std::path::Path;
 use std::sync::{Arc, Mutex};
 
-/// Superblock structure-kind tag of a mapped `RStack`.
+/// Store catalog-entry kind tag of a mapped `RStack`.
 pub const KIND_STACK: u64 = 5;
 
 /// A stack node.
@@ -480,23 +478,6 @@ impl<M: Persist> RStack<M> {
 }
 
 impl RStack<MappedNvm> {
-    /// Attaches (or creates) a detectably recoverable stack backed by the
-    /// file-backed persistent heap at `path`, running the generic restart
-    /// driver ([`crate::recovery::attach_standalone`]) on an existing heap.
-    /// Elimination is disabled in mapped mode (volatile, not detectable).
-    /// The calling thread must be registered (`nvm::tid::set_tid`).
-    pub fn attach(path: impl AsRef<Path>) -> Result<(Self, AttachSummary), AttachError> {
-        Self::attach_sized(path, DEFAULT_HEAP_BYTES)
-    }
-
-    /// [`RStack::attach`] with an explicit heap size for creation.
-    pub fn attach_sized(
-        path: impl AsRef<Path>,
-        heap_bytes: usize,
-    ) -> Result<(Self, AttachSummary), AttachError> {
-        attach_standalone::<Self>(path.as_ref(), (), heap_bytes)
-    }
-
     /// The persistent heap backing this stack.
     pub fn heap(&self) -> &Arc<MappedHeap> {
         self.mapped.as_ref().expect("mapped-mode stack")
@@ -739,6 +720,7 @@ mod tests {
 
     #[test]
     fn mapped_attach_stack_preserves_contents_across_detach() {
+        use crate::store::Store;
         let _gate = crate::counters::gate_shared();
         nvm::tid::set_tid(0);
         let path = std::env::temp_dir().join(format!(
@@ -751,22 +733,29 @@ mod tests {
         ));
         let _ = std::fs::remove_file(&path);
         {
-            let (s, r) = RStack::<nvm::MappedNvm>::attach_sized(&path, 1 << 21).unwrap();
-            assert!(r.heap.created);
+            let store = Store::open_sized(&path, 1 << 21).unwrap();
+            assert!(store.summary().heap.created);
+            let s = store.stack("s").unwrap();
             for v in 1..=40u64 {
                 s.push(0, v);
             }
             assert_eq!(s.pop(0), Some(40));
         }
         {
-            let (mut s, r) = RStack::<nvm::MappedNvm>::attach_sized(&path, 1 << 21).unwrap();
-            assert!(!r.heap.created);
+            let store = Store::open_sized(&path, 1 << 21).unwrap();
+            assert!(!store.summary().heap.created);
+            let s = store.stack("s").unwrap();
+            drop(store);
+            let mut s = Arc::into_inner(s).unwrap();
             assert_eq!(s.snapshot_vals(), (1..=39).rev().collect::<Vec<_>>());
             assert_eq!(s.pop(0), Some(39));
             s.push(0, 99);
         }
         {
-            let (mut s, _) = RStack::<nvm::MappedNvm>::attach_sized(&path, 1 << 21).unwrap();
+            let store = Store::open_sized(&path, 1 << 21).unwrap();
+            let s = store.stack("s").unwrap();
+            drop(store);
+            let mut s = Arc::into_inner(s).unwrap();
             let mut want: Vec<u64> = (1..=38).rev().collect();
             want.insert(0, 99);
             assert_eq!(s.snapshot_vals(), want);

@@ -1,10 +1,11 @@
 //! Multi-structure persistent store: one [`MappedHeap`], many **named**
 //! detectably recoverable structures.
 //!
-//! The mapped backend's per-structure `attach(path)` dedicates a whole heap
-//! file to one structure. Real persistent-memory pools (memento's typed
-//! pool roots, PAPERS.md) host *several* root objects per pool; this module
-//! is that shape for the ISB stack:
+//! The store is the only on-disk format of the mapped backend: every
+//! persistent structure, even a lone one, is a named catalog entry. Real
+//! persistent-memory pools (memento's typed pool roots, PAPERS.md) host
+//! *several* root objects per pool; this module is that shape for the ISB
+//! stack:
 //!
 //! * a **catalog** root block maps names to `(kind, cfg, root block)`
 //!   entries ([`nvm::mapped::CatalogEntry`]; entry creation stamps the kind
@@ -15,9 +16,9 @@
 //!   which structure it touches, so `RD_q`/`CP_q` are per-*process*, not
 //!   per-structure (descriptor hand-over across structures routes through
 //!   one shared Info pool);
-//! * attach-time recovery is the same generic driver the standalone path
-//!   uses ([`crate::recovery::finish_attach`]): validation, one Op-Recover
-//!   replay over the shared area (descriptor entries and the stack's
+//! * attach-time recovery is one generic driver over every entry's
+//!   [`crate::recovery::SlotOps`]: validation, one Op-Recover replay over
+//!   the shared area (descriptor entries and the stack's
 //!   [`crate::tag::DIRECT`] entries alike), per-structure scrub, and a
 //!   census/sweep computed over the **union** of every entry's live set.
 //!
@@ -796,37 +797,7 @@ mod tests {
         // every future open with CorruptCatalog).
         let store = Store::open_sized(&path, 4 << 20).unwrap();
         assert!(store.hashmap::<0>("m", 4).unwrap().find(0, 7));
-        // Standalone attach pre-checks too, before even touching the file.
-        match RHashMap::<MappedNvm, 0>::attach_sized(tmp("precheck2"), 6, 4 << 20) {
-            Err(AttachError::InvalidCfg { .. }) => {}
-            other => panic!("expected InvalidCfg, got {:?}", other.err()),
-        }
         drop(store);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn store_heap_rejects_standalone_attach_and_vice_versa() {
-        let _gate = crate::counters::gate_shared();
-        nvm::tid::set_tid(0);
-        let path = tmp("crosskind");
-        drop(Store::open_sized(&path, 4 << 20).unwrap());
-        match RHashMap::<MappedNvm, 0>::attach_sized(&path, 4, 4 << 20) {
-            Err(AttachError::WrongKind { expected, found, .. }) => {
-                assert_eq!(expected, crate::hashmap::KIND_MAP);
-                assert_eq!(found, KIND_STORE);
-            }
-            other => panic!("expected WrongKind, got {:?}", other.err()),
-        }
-        let _ = std::fs::remove_file(&path);
-        drop(RQueue::<MappedNvm, 0>::attach_sized(&path, 4 << 20).unwrap());
-        match Store::open_sized(&path, 4 << 20) {
-            Err(AttachError::WrongKind { expected, found, .. }) => {
-                assert_eq!(expected, KIND_STORE);
-                assert_eq!(found, crate::queue::KIND_QUEUE);
-            }
-            other => panic!("expected WrongKind, got {:?}", other.err()),
-        }
         let _ = std::fs::remove_file(&path);
     }
 

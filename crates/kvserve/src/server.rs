@@ -53,6 +53,7 @@ use isb::recovery::AttachError;
 use isb::resptable::ResponseTable;
 use isb::store::Store;
 use nvm::mapped::{MappedHeap, MappedNvm};
+use std::collections::HashSet;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::ops::Range;
@@ -280,11 +281,14 @@ impl Server {
                     .name("kv-healer".into())
                     .spawn(move || {
                         nvm::tid::set_tid(base_tid);
+                        let mut reported = HashSet::new();
                         while !shared.stop.load(Ordering::Acquire) {
                             // Dead peers resolve under a recovery lease;
                             // losing the lease race to another survivor is
                             // fine (they finish the job).
-                            let _ = store.heal_peers();
+                            if let Err(e) = store.heal_peers() {
+                                report_heal_error(&mut reported, &e);
+                            }
                             std::thread::sleep(Duration::from_millis(10));
                         }
                     })
@@ -479,11 +483,34 @@ fn handle(ctx: &Shared, pid: usize, req: &Request) -> Response {
     Response { status: Status::Ok, op_seq: req.op_seq, value }
 }
 
+/// Reports a failed peer recovery on stderr, once per distinct error: the
+/// healer retries every tick, and a recovery that keeps failing leaves the
+/// dead peer's clients getting `Recovering`. Returns whether it printed.
+fn report_heal_error(reported: &mut HashSet<String>, e: &AttachError) -> bool {
+    let msg = e.to_string();
+    let new = !reported.contains(&msg);
+    if new {
+        eprintln!("kvserve: peer recovery failed, its clients stay Recovering: {msg}");
+        reported.insert(msg);
+    }
+    new
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::proto::{encode_request, parse_response};
     use crate::KvClient;
+
+    #[test]
+    fn heal_errors_are_reported_once_each() {
+        let mut reported = HashSet::new();
+        let torn = || AttachError::Map(nvm::MapError::CorruptCatalog { slot: 3 });
+        assert!(report_heal_error(&mut reported, &torn()));
+        assert!(!report_heal_error(&mut reported, &torn()), "a repeat stays quiet");
+        let other = AttachError::Map(nvm::MapError::CorruptCatalog { slot: 4 });
+        assert!(report_heal_error(&mut reported, &other), "a new error is reported");
+    }
 
     /// A server over a fresh heap in its own temp dir (returned for cleanup).
     fn test_server(name: &str, lanes: usize) -> (Server, PathBuf) {

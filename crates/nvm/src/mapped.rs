@@ -134,8 +134,7 @@
 use crate::addr_hash::AddrSet;
 use crate::flush;
 use crate::pad::CachePadded;
-use crate::persist::{raw_cas, raw_load, raw_store, Persist};
-use crate::pword::{PWord, PersistWords};
+use crate::persist::Persist;
 use crate::stats;
 use crate::tid;
 use crate::MAX_PROCS;
@@ -361,6 +360,9 @@ pub const MAGIC: u64 = 0x4953_424D_4150_3031;
 /// v4: the hash map became one split-ordered list (a one-word root: the
 /// list head, bucket sentinels in the list) instead of a per-shard array of
 /// bucket heads; a v3 map's root would read as a head and mis-walk.
+/// Single-structure heaps (superblock kind = the structure's kind, roots
+/// `STRUCT`/`META`) were later dropped without a version bump: their kind
+/// is not the store's, so opening one fails typed, never mis-walks.
 pub const VERSION: u64 = 4;
 /// Base address requested for fresh heaps: high in the 47-bit user window,
 /// far from the default heap/mmap/stack regions of both parent and child
@@ -564,14 +566,6 @@ pub enum MapError {
         /// Granule index of the disagreement.
         granule: usize,
     },
-    /// The heap hosts a different structure kind (or configuration) than the
-    /// caller asked to attach.
-    WrongKind {
-        /// Kind/config expected by the caller.
-        expected: u64,
-        /// Kind/config recorded in the heap.
-        found: u64,
-    },
     /// A persistent pointer read from the image points outside the mapping
     /// (or the object graph does not terminate) — e.g. a superblock whose
     /// recorded base was rewritten to a different address, so the structure's
@@ -649,9 +643,6 @@ impl std::fmt::Display for MapError {
             }
             MapError::CorruptBitmap { granule } => {
                 write!(f, "commit bitmap disagrees with headers at granule {granule}")
-            }
-            MapError::WrongKind { expected, found } => {
-                write!(f, "heap hosts kind/config {found}, expected {expected}")
             }
             MapError::CorruptPointer { addr } => {
                 write!(f, "persistent pointer {addr:#x} points outside the mapped arena")
@@ -809,9 +800,9 @@ impl Drop for BumpLockGuard<'_> {
 
 /// A file-backed persistent heap (see module docs).
 ///
-/// One `MappedHeap` hosts one or more data structures (plus their recovery
-/// areas); the structures' `attach` constructors enforce the kind via the
-/// superblock. Exclusive attaches ([`MappedHeap::open`] /
+/// One `MappedHeap` hosts one store: a catalog of named data structures
+/// plus their shared recovery area (`isb::store`, which enforces its kind
+/// via the superblock). Exclusive attaches ([`MappedHeap::open`] /
 /// [`MappedHeap::attach`]) admit **one process at a time**, enforced by the
 /// durable participant registry ([`MapError::AlreadyAttached`]); shared
 /// attaches ([`MappedHeap::open_shared`]) let up to [`PART_SLOTS`] processes
@@ -2610,12 +2601,12 @@ impl MappedHeap {
         Err(MapError::BadSuperblock("root directory full"))
     }
 
-    /// Structure kind recorded in the superblock (0 = none yet).
+    /// Layout kind recorded in the superblock (0 = none yet).
     pub fn kind(&self) -> u64 {
         self.word(W_KIND).load(Acquire)
     }
 
-    /// Records the structure kind hosted by this heap.
+    /// Records the kind of layout hosted by this heap.
     pub fn set_kind(&self, kind: u64) {
         self.word(W_KIND).store(kind, SeqCst);
     }
@@ -2846,113 +2837,13 @@ impl Persist for MappedNvm {
     const MAPPED: bool = true;
     type Meta = ();
 
-    #[inline]
-    fn load(w: &PWord<Self>) -> u64 {
-        raw_load(w)
-    }
-    #[inline]
-    fn store(w: &PWord<Self>, v: u64) {
-        raw_store(w, v)
-    }
-    #[inline]
-    fn cas(w: &PWord<Self>, old: u64, new: u64) -> u64 {
-        raw_cas(w, old, new)
-    }
-
-    #[inline]
-    fn pwb(w: &PWord<Self>) {
-        crate::coalesce::lint::note_pwb(w.addr());
-        // SAFETY: `w.addr()` points into the live `PWord` behind `w`.
-        unsafe { flush::clflush(w.addr()) };
-        stats::count_pwb(1);
-    }
-    #[inline]
-    fn pfence() {
-        // Pending coalesced lines must be written back before post-fence
-        // flushes (same TSO argument as RealNvm).
-        Self::coal_drain();
-        crate::coalesce::lint::fence();
-        stats::count_pfence();
-    }
-    #[inline]
-    fn psync() {
-        Self::coal_drain();
-        crate::coalesce::lint::fence();
-        flush::mfence();
-        stats::count_psync();
-    }
-    #[inline]
-    fn pbarrier(w: &PWord<Self>) {
-        Self::coal_drain();
-        crate::coalesce::lint::fence();
-        // SAFETY: as in `pwb`.
-        unsafe { flush::clflush(w.addr()) };
-        flush::mfence();
-        stats::count_pbarrier(1);
-    }
-    #[inline]
-    fn pwb_obj<T: PersistWords<Self> + ?Sized>(obj: &T) {
-        let (p, len) = obj.used_range();
-        // SAFETY: `used_range` is a sub-range of the live object behind `obj`.
-        let n = unsafe { flush::clflush_range(p, len) };
-        stats::count_pwb(n);
-    }
-    #[inline]
-    fn pbarrier_obj<T: PersistWords<Self> + ?Sized>(obj: &T) {
-        Self::coal_drain();
-        crate::coalesce::lint::fence();
-        let (p, len) = obj.used_range();
-        // SAFETY: as in `pwb_obj`.
-        let n = unsafe { flush::clflush_range(p, len) };
-        flush::mfence();
-        stats::count_pbarrier(n);
-    }
-
-    #[inline]
-    fn pwb_coal(w: &PWord<Self>) {
-        match crate::coalesce::note(w.addr()) {
-            crate::coalesce::Note::New => stats::count_pwb(1),
-            crate::coalesce::Note::Dup => stats::count_pwb_elided(1),
-            crate::coalesce::Note::Full => {
-                // SAFETY: live `PWord` behind `w`.
-                unsafe { flush::clflush(w.addr()) };
-                stats::count_pwb(1);
-            }
-        }
-    }
-    #[inline]
-    fn pwb_obj_coal<T: PersistWords<Self> + ?Sized>(obj: &T) {
-        let (p, len) = obj.used_range();
-        let mut line = crate::coalesce::line_of(p);
-        let end = p as u64 + len as u64;
-        while line < end {
-            match crate::coalesce::note(line as *const u8) {
-                crate::coalesce::Note::New => stats::count_pwb(1),
-                crate::coalesce::Note::Dup => stats::count_pwb_elided(1),
-                crate::coalesce::Note::Full => {
-                    // SAFETY: the line lies inside the live object.
-                    unsafe { flush::clflush(line as *const u8) };
-                    stats::count_pwb(1);
-                }
-            }
-            line += crate::CACHE_LINE as u64;
-        }
-    }
-    #[inline]
-    fn coal_drain() {
-        // SAFETY: pending lines were noted from objects still live at the
-        // draining fence (`pwb_coal` contract); mapped-heap objects are
-        // additionally never unmapped while the structure is attached.
-        let n = crate::coalesce::drain(|line| unsafe { flush::clflush(line as *const u8) });
-        if n > 0 {
-            stats::count_lines_coalesced(n);
-        }
-    }
+    crate::persist::real_flush_model!();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pword::PWord;
     use std::collections::HashSet;
 
     fn tmp(name: &str) -> PathBuf {

@@ -96,7 +96,7 @@ pub(crate) fn raw_cas<M: Persist>(w: &PWord<M>, old: u64, new: u64) -> u64 {
 /// lines as issued `pwb`s and duplicates as elisions; `flush_through` handles
 /// capacity overflow (immediate write-back).
 #[inline]
-fn coal_note_range(p: *const u8, len: usize, mut flush_through: impl FnMut(u64)) {
+pub(crate) fn coal_note_range(p: *const u8, len: usize, mut flush_through: impl FnMut(u64)) {
     let mut line = coalesce::line_of(p);
     let end = p as u64 + len as u64;
     while line < end {
@@ -112,6 +112,114 @@ fn coal_note_range(p: *const u8, len: usize, mut flush_through: impl FnMut(u64))
     }
 }
 
+/// The body of a persistency model that executes real flushes: plain
+/// atomic word access, `pwb` = `clflush`, `psync` = `mfence`, `pfence` =
+/// no-op under TSO, coalesced lines written back at the next fence, and
+/// every instruction counted. [`RealNvm`] and [`crate::mapped::MappedNvm`]
+/// both expand it, so their behaviour and their counts cannot drift apart.
+macro_rules! real_flush_model {
+    () => {
+        #[inline]
+        fn load(w: &$crate::pword::PWord<Self>) -> u64 {
+            $crate::persist::raw_load(w)
+        }
+        #[inline]
+        fn store(w: &$crate::pword::PWord<Self>, v: u64) {
+            $crate::persist::raw_store(w, v)
+        }
+        #[inline]
+        fn cas(w: &$crate::pword::PWord<Self>, old: u64, new: u64) -> u64 {
+            $crate::persist::raw_cas(w, old, new)
+        }
+
+        #[inline]
+        fn pwb(w: &$crate::pword::PWord<Self>) {
+            $crate::coalesce::lint::note_pwb(w.addr());
+            // SAFETY: `w.addr()` points into the live `PWord` behind `w`.
+            unsafe { $crate::flush::clflush(w.addr()) };
+            $crate::stats::count_pwb(1);
+        }
+        #[inline]
+        fn pfence() {
+            // TSO: flushes of this implementation are already ordered;
+            // counted only. Pending coalesced lines must still be written
+            // back here so they are ordered before post-fence flushes.
+            Self::coal_drain();
+            $crate::coalesce::lint::fence();
+            $crate::stats::count_pfence();
+        }
+        #[inline]
+        fn psync() {
+            Self::coal_drain();
+            $crate::coalesce::lint::fence();
+            $crate::flush::mfence();
+            $crate::stats::count_psync();
+        }
+        #[inline]
+        fn pbarrier(w: &$crate::pword::PWord<Self>) {
+            Self::coal_drain();
+            $crate::coalesce::lint::fence();
+            // SAFETY: as in `pwb`.
+            unsafe { $crate::flush::clflush(w.addr()) };
+            $crate::flush::mfence();
+            $crate::stats::count_pbarrier(1);
+        }
+        #[inline]
+        fn pwb_obj<T: $crate::pword::PersistWords<Self> + ?Sized>(obj: &T) {
+            let (p, len) = obj.used_range();
+            // SAFETY: `used_range` is a sub-range of the live object behind
+            // `obj` (PersistWords safety contract).
+            let n = unsafe { $crate::flush::clflush_range(p, len) };
+            $crate::stats::count_pwb(n);
+        }
+        #[inline]
+        fn pbarrier_obj<T: $crate::pword::PersistWords<Self> + ?Sized>(obj: &T) {
+            Self::coal_drain();
+            $crate::coalesce::lint::fence();
+            let (p, len) = obj.used_range();
+            // SAFETY: as in `pwb_obj`.
+            let n = unsafe { $crate::flush::clflush_range(p, len) };
+            $crate::flush::mfence();
+            $crate::stats::count_pbarrier(n);
+        }
+
+        #[inline]
+        fn pwb_coal(w: &$crate::pword::PWord<Self>) {
+            match $crate::coalesce::note(w.addr()) {
+                $crate::coalesce::Note::New => $crate::stats::count_pwb(1),
+                $crate::coalesce::Note::Dup => $crate::stats::count_pwb_elided(1),
+                $crate::coalesce::Note::Full => {
+                    // SAFETY: live `PWord` behind `w`.
+                    unsafe { $crate::flush::clflush(w.addr()) };
+                    $crate::stats::count_pwb(1);
+                }
+            }
+        }
+        #[inline]
+        fn pwb_obj_coal<T: $crate::pword::PersistWords<Self> + ?Sized>(obj: &T) {
+            let (p, len) = obj.used_range();
+            // SAFETY: overflow lines lie inside the live object
+            // (PersistWords safety contract).
+            $crate::persist::coal_note_range(p, len, |line| unsafe {
+                $crate::flush::clflush(line as *const u8)
+            });
+        }
+        #[inline]
+        fn coal_drain() {
+            // SAFETY: every pending line was noted from an object that is,
+            // per the `pwb_coal` contract, still live at the draining fence
+            // (mapped-heap objects are never unmapped while attached).
+            let n = $crate::coalesce::drain(|line| unsafe {
+                $crate::flush::clflush(line as *const u8)
+            });
+            if n > 0 {
+                $crate::stats::count_lines_coalesced(n);
+            }
+        }
+    };
+}
+pub(crate) use real_flush_model;
+
 /// Shared-cache model on real hardware: `pwb` = `clflush`, `psync` =
 /// `mfence`, `pfence` = no-op under TSO (as in the paper's evaluation).
 /// All persistency instructions are counted.
@@ -121,98 +229,7 @@ impl Persist for RealNvm {
     const NAME: &'static str = "real";
     type Meta = ();
 
-    #[inline]
-    fn load(w: &PWord<Self>) -> u64 {
-        raw_load(w)
-    }
-    #[inline]
-    fn store(w: &PWord<Self>, v: u64) {
-        raw_store(w, v)
-    }
-    #[inline]
-    fn cas(w: &PWord<Self>, old: u64, new: u64) -> u64 {
-        raw_cas(w, old, new)
-    }
-
-    #[inline]
-    fn pwb(w: &PWord<Self>) {
-        lint::note_pwb(w.addr());
-        // SAFETY: `w.addr()` points into the live `PWord` behind `w`.
-        unsafe { flush::clflush(w.addr()) };
-        stats::count_pwb(1);
-    }
-    #[inline]
-    fn pfence() {
-        // TSO: flushes of this implementation are already ordered; counted
-        // only. Pending coalesced lines must still be written back here so
-        // they are ordered before post-fence flushes.
-        Self::coal_drain();
-        lint::fence();
-        stats::count_pfence();
-    }
-    #[inline]
-    fn psync() {
-        Self::coal_drain();
-        lint::fence();
-        flush::mfence();
-        stats::count_psync();
-    }
-    #[inline]
-    fn pbarrier(w: &PWord<Self>) {
-        Self::coal_drain();
-        lint::fence();
-        // SAFETY: `w.addr()` points into the live `PWord` behind `w`.
-        unsafe { flush::clflush(w.addr()) };
-        flush::mfence();
-        stats::count_pbarrier(1);
-    }
-    #[inline]
-    fn pwb_obj<T: PersistWords<Self> + ?Sized>(obj: &T) {
-        let (p, len) = obj.used_range();
-        // SAFETY: `used_range` is a sub-range of the live object behind `obj`
-        // (PersistWords safety contract).
-        let n = unsafe { flush::clflush_range(p, len) };
-        stats::count_pwb(n);
-    }
-    #[inline]
-    fn pbarrier_obj<T: PersistWords<Self> + ?Sized>(obj: &T) {
-        Self::coal_drain();
-        lint::fence();
-        let (p, len) = obj.used_range();
-        // SAFETY: as in `pwb_obj`.
-        let n = unsafe { flush::clflush_range(p, len) };
-        flush::mfence();
-        stats::count_pbarrier(n);
-    }
-
-    #[inline]
-    fn pwb_coal(w: &PWord<Self>) {
-        match coalesce::note(w.addr()) {
-            coalesce::Note::New => stats::count_pwb(1),
-            coalesce::Note::Dup => stats::count_pwb_elided(1),
-            coalesce::Note::Full => {
-                // SAFETY: live `PWord` behind `w`.
-                unsafe { flush::clflush(w.addr()) };
-                stats::count_pwb(1);
-            }
-        }
-    }
-    #[inline]
-    fn pwb_obj_coal<T: PersistWords<Self> + ?Sized>(obj: &T) {
-        let (p, len) = obj.used_range();
-        // SAFETY: overflow lines lie inside the live object (PersistWords
-        // safety contract).
-        coal_note_range(p, len, |line| unsafe { flush::clflush(line as *const u8) });
-    }
-    #[inline]
-    fn coal_drain() {
-        // SAFETY: every pending line was noted from an object that is, per
-        // the `pwb_coal` contract, still live at the draining fence.
-        let n = coalesce::drain(|line| unsafe { flush::clflush(line as *const u8) });
-        if n > 0 {
-            stats::count_lines_coalesced(n);
-        }
-    }
+    real_flush_model!();
 }
 
 /// Shared-cache model with *counted but not executed* flushes. Portable,

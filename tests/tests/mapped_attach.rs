@@ -1,23 +1,21 @@
 //! Attach-time corruption matrix for the mapped backend: every damaged-image
 //! shape must fail with a **typed** error (`MapError` via `AttachError`) —
 //! never undefined behaviour — and the benign torn states must heal. Covers
-//! the superblock/bitmap/header shapes, cross-kind opens across all five
-//! structure kinds plus the multi-structure store, and catalog-entry
-//! corruption. Complements the in-crate roundtrip tests and the
-//! cross-process SIGKILL harness (`restart.rs`).
+//! the superblock/bitmap/header shapes, cross-kind opens of catalog entries
+//! across all five structure kinds, images of the retired single-structure
+//! heap format, and catalog-entry corruption. Complements the in-crate
+//! roundtrip tests and the cross-process SIGKILL harness (`restart.rs`).
 
-use isb::bst::RBst;
-use isb::hashmap::RHashMap;
-use isb::list::RList;
-use isb::queue::RQueue;
-use isb::recovery::AttachError;
-use isb::stack::RStack;
+use isb::recovery::{AttachError, RecArea};
 use isb::store::Store;
 use nvm::mapped::MappedHeap;
 use nvm::{MapError, MappedNvm};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 const SHARDS: usize = 4;
+/// Catalog name of the map the single-structure cases build.
+const MAP: &str = "map";
 const HEAP_BYTES: usize = 2 * 1024 * 1024;
 
 fn tmp(name: &str) -> PathBuf {
@@ -30,11 +28,12 @@ fn tmp(name: &str) -> PathBuf {
     p
 }
 
-/// Builds a populated map heap at `path` and detaches cleanly.
+/// Builds a populated one-map store at `path` and detaches cleanly.
 fn mk_map(path: &PathBuf) {
     nvm::tid::set_tid(0);
-    let (map, s) = RHashMap::<MappedNvm, 0>::attach_sized(path, SHARDS, HEAP_BYTES).unwrap();
-    assert!(s.heap.created);
+    let store = Store::open_sized(path, HEAP_BYTES).unwrap();
+    assert!(store.summary().heap.created);
+    let map = store.hashmap::<0>(MAP, SHARDS).unwrap();
     for k in 1..=128u64 {
         assert!(map.insert(0, k));
     }
@@ -72,7 +71,12 @@ fn root_offset(path: &PathBuf, key: u64) -> u64 {
 }
 
 fn attach(path: &PathBuf) -> Result<(), AttachError> {
-    RHashMap::<MappedNvm, 0>::attach_sized(path, SHARDS, HEAP_BYTES).map(|_| ())
+    Store::open_sized(path, HEAP_BYTES)?.hashmap::<0>(MAP, SHARDS).map(|_| ())
+}
+
+/// File offset of catalog slot 0's root block (entry word 2).
+fn entry_root_offset(path: &PathBuf) -> u64 {
+    read_at(path, root_offset(path, 0x4341_5441 /* rootkeys::CATALOG */) + 16)
 }
 
 /// Unwraps the heap-level error inside an `AttachError`.
@@ -177,15 +181,16 @@ fn superblock_from_a_different_base_fails_typed_not_ub() {
 fn pointer_at_mapping_end_fails_typed_not_oob() {
     let path = tmp("oob");
     mk_map(&path);
-    // Point the map's root block (the bucket-head array, registered under
-    // the generic STRUCT root key) at the very last 8-aligned address of
-    // the mapping: it is aligned and *starts* inside the arena, but reading
-    // a whole node there would run past the mapping end. The span-aware
-    // validation must reject it before any dereference.
+    // Point the map's list head (the one word of its catalog entry's root
+    // block) at the very last 8-aligned address of the mapping: it is
+    // aligned and *starts* inside the arena, but reading a whole node there
+    // would run past the mapping end. The span-aware validation must reject
+    // it before any dereference.
     let base = read_word(&path, 2);
     let size = read_word(&path, 3);
-    let heads_off = root_offset(&path, 0x5354_5543); // rootkeys::STRUCT
-    patch(&path, heads_off, &(base + size - 8).to_le_bytes());
+    let head_off = entry_root_offset(&path);
+    assert_eq!(read_at(&path, head_off) & 7, 0, "layout drifted: root word is not a node");
+    patch(&path, head_off, &(base + size - 8).to_le_bytes());
     match map_err(attach(&path)) {
         MapError::CorruptPointer { addr } => assert_eq!(addr, base + size - 8),
         e => panic!("expected CorruptPointer, got {e}"),
@@ -250,60 +255,78 @@ fn smashed_block_header_fails_typed() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// Every structure kind refuses every other kind's heap with a typed
-/// `WrongKind` carrying both kind tags — the full cross-kind matrix,
-/// including the store.
+/// Kind tags of the five structures, each with an accessor that opens a
+/// catalog entry as that kind.
+type Open = fn(&Store, &str) -> Result<(), AttachError>;
+const ACCESSORS: &[(u64, Open)] = &[
+    (isb::hashmap::KIND_MAP, |s, n| s.hashmap::<0>(n, SHARDS).map(drop)),
+    (isb::queue::KIND_QUEUE, |s, n| s.queue::<0>(n).map(drop)),
+    (isb::list::KIND_LIST, |s, n| s.list::<0>(n).map(drop)),
+    (isb::bst::KIND_BST, |s, n| s.bst::<0>(n).map(drop)),
+    (isb::stack::KIND_STACK, |s, n| s.stack(n).map(drop)),
+];
+
+/// Every catalog entry refuses every other kind's accessor with a typed
+/// `WrongKind` carrying the entry name and both kind tags — the full
+/// cross-kind matrix, checked against the durable catalog record (each
+/// open runs on a re-attached store, not on the creating process's cache).
 #[test]
 fn cross_kind_opens_fail_typed() {
     nvm::tid::set_tid(0);
-
-    // One creator per kind.
-    type Mk = fn(&PathBuf);
-    let creators: &[(u64, Mk)] = &[
-        (isb::hashmap::KIND_MAP, |p| {
-            drop(RHashMap::<MappedNvm, 0>::attach_sized(p, SHARDS, HEAP_BYTES).unwrap())
-        }),
-        (isb::queue::KIND_QUEUE, |p| {
-            drop(RQueue::<MappedNvm, 0>::attach_sized(p, HEAP_BYTES).unwrap())
-        }),
-        (isb::list::KIND_LIST, |p| {
-            drop(RList::<MappedNvm, 0>::attach_sized(p, HEAP_BYTES).unwrap())
-        }),
-        (isb::bst::KIND_BST, |p| drop(RBst::<MappedNvm, 0>::attach_sized(p, HEAP_BYTES).unwrap())),
-        (isb::stack::KIND_STACK, |p| {
-            drop(RStack::<MappedNvm>::attach_sized(p, HEAP_BYTES).unwrap())
-        }),
-        (isb::store::KIND_STORE, |p| drop(Store::open_sized(p, HEAP_BYTES).unwrap())),
-    ];
-    // One opener per kind.
-    type Open = fn(&PathBuf) -> Result<(), AttachError>;
-    let openers: &[(u64, Open)] = &[
-        (isb::hashmap::KIND_MAP, |p| {
-            RHashMap::<MappedNvm, 0>::attach_sized(p, SHARDS, HEAP_BYTES).map(|_| ())
-        }),
-        (isb::queue::KIND_QUEUE, |p| {
-            RQueue::<MappedNvm, 0>::attach_sized(p, HEAP_BYTES).map(|_| ())
-        }),
-        (isb::list::KIND_LIST, |p| RList::<MappedNvm, 0>::attach_sized(p, HEAP_BYTES).map(|_| ())),
-        (isb::bst::KIND_BST, |p| RBst::<MappedNvm, 0>::attach_sized(p, HEAP_BYTES).map(|_| ())),
-        (isb::stack::KIND_STACK, |p| RStack::<MappedNvm>::attach_sized(p, HEAP_BYTES).map(|_| ())),
-        (isb::store::KIND_STORE, |p| Store::open_sized(p, HEAP_BYTES).map(|_| ())),
-    ];
-
-    for &(made, mk) in creators {
+    for &(made, create) in ACCESSORS {
         let path = tmp(&format!("cross_{made}"));
-        mk(&path);
-        for &(want, open) in openers {
+        create(&Store::open_sized(&path, HEAP_BYTES).unwrap(), "x").unwrap();
+        let store = Store::open_sized(&path, HEAP_BYTES).unwrap();
+        for &(want, open) in ACCESSORS {
             if want == made {
                 continue;
             }
-            match open(&path) {
-                Err(AttachError::WrongKind { expected, found, .. }) => {
-                    assert_eq!(expected, want, "opener kind");
-                    assert_eq!(found, made, "creator kind");
+            match open(&store, "x") {
+                Err(AttachError::WrongKind { name, expected, found }) => {
+                    assert_eq!(name, "x");
+                    assert_eq!(expected, want, "accessor kind");
+                    assert_eq!(found, made, "entry kind");
                 }
                 Err(e) => panic!("kind {made} opened as {want}: expected WrongKind, got {e}"),
                 Ok(()) => panic!("kind {made} must not open as kind {want}"),
+            }
+        }
+        // The matching accessor still opens the entry after the refusals.
+        create(&store, "x").unwrap();
+        drop(store);
+        let _ = std::fs::remove_file(&path);
+    }
+}
+
+/// An image of the retired single-structure heap format — superblock kind
+/// = the structure's own kind, recovery area plus `META` (configuration)
+/// and `STRUCT` (root block) root keys — must fail `Store::open` typed,
+/// for every structure kind and both open modes, never attach or mis-walk.
+#[test]
+fn legacy_standalone_image_fails_store_open_typed() {
+    nvm::tid::set_tid(0);
+    for &(kind, _) in ACCESSORS {
+        let path = tmp(&format!("legacy_{kind}"));
+        {
+            let heap = MappedHeap::create(&path, HEAP_BYTES).unwrap();
+            heap.root_alloc(0x5245_4341 /* RECA */, RecArea::<MappedNvm>::slots_bytes()).unwrap();
+            let (meta, _) = heap.root_alloc(0x4D45_5441 /* META */, 16).unwrap();
+            unsafe { (meta as *mut u64).write(SHARDS as u64) };
+            heap.root_alloc(0x5354_5543 /* STUC */, 8).unwrap();
+            heap.set_kind(kind);
+        }
+        type OpenStore = fn(&PathBuf) -> Result<Store, AttachError>;
+        let opens: [OpenStore; 2] =
+            [|p| Store::open_sized(p, HEAP_BYTES), |p| Store::open_shared_sized(p, HEAP_BYTES)];
+        for open in opens {
+            match open(&path) {
+                Err(AttachError::WrongKind { name, expected, found }) => {
+                    assert!(name.is_empty(), "a heap-level refusal names no entry");
+                    assert_eq!(expected, isb::store::KIND_STORE);
+                    assert_eq!(found, kind);
+                }
+                Err(e) => panic!("legacy kind {kind}: expected WrongKind, got {e}"),
+                Ok(_) => panic!("a legacy kind-{kind} heap must not open as a store"),
             }
         }
         let _ = std::fs::remove_file(&path);
@@ -323,9 +346,11 @@ fn heap_level_torn_tail_is_poisoned_through_structure_attach() {
         // no commit
     }
     nvm::tid::set_tid(0);
-    let (mut map, s) = RHashMap::<MappedNvm, 0>::attach_sized(&path, SHARDS, HEAP_BYTES)
-        .expect("torn tail must heal, not fail");
-    assert_eq!(s.heap.poisoned, 1, "exactly the abandoned block is poisoned");
+    let store = Store::open_sized(&path, HEAP_BYTES).expect("torn tail must heal, not fail");
+    assert_eq!(store.summary().heap.poisoned, 1, "exactly the abandoned block is poisoned");
+    let map = store.hashmap::<0>(MAP, SHARDS).unwrap();
+    drop(store);
+    let mut map = Arc::into_inner(map).expect("the store held the only other handle");
     assert_eq!(map.snapshot_keys(), (1..=128).collect::<Vec<u64>>());
     map.check_invariants();
     drop(map);
@@ -549,20 +574,22 @@ fn structure_survives_growth_across_attach() {
     // growth steps, and a later attach must walk every segment.
     let keys = 20_000u64;
     {
-        let (map, s) =
-            RHashMap::<MappedNvm, 0>::attach_sized(&path, SHARDS, nvm::mapped::MIN_HEAP_BYTES)
-                .unwrap();
-        assert!(s.heap.created);
+        let store = Store::open_sized(&path, nvm::mapped::MIN_HEAP_BYTES).unwrap();
+        assert!(store.summary().heap.created);
+        let map = store.hashmap::<0>(MAP, SHARDS).unwrap();
         for k in 1..=keys {
             assert!(map.insert(0, k));
         }
         assert!(map.heap().segments() > 1, "fill must outgrow the initial segment");
     }
-    let (mut map, s) =
-        RHashMap::<MappedNvm, 0>::attach_sized(&path, SHARDS, nvm::mapped::MIN_HEAP_BYTES).unwrap();
+    let store = Store::open_sized(&path, nvm::mapped::MIN_HEAP_BYTES).unwrap();
+    let s = store.summary();
     assert!(!s.heap.created);
     assert!(s.heap.segments > 1);
     assert_eq!(s.heap.poisoned, 0);
+    let map = store.hashmap::<0>(MAP, SHARDS).unwrap();
+    drop(store);
+    let mut map = Arc::into_inner(map).expect("the store held the only other handle");
     assert_eq!(map.snapshot_keys(), (1..=keys).collect::<Vec<u64>>());
     map.check_invariants();
     drop(map);

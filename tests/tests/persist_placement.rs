@@ -124,11 +124,14 @@ const QUEUE_COAL: [(&str, GoldenCoal); 5] = [
     ("dequeue-empty", (3, 1, 1, 1, 2, 1, false, 0)),
 ];
 
-/// The LP queue merges the tag-phase `psync` into the update-phase one on
-/// enqueue (single-affect help), dropping a whole round trip: `psync` 3 → 2.
+/// The LP queue turns the tag-phase `psync` of an enqueue (single-affect
+/// help) into a `pfence`, dropping a whole round trip: `psync` 3 → 2. The
+/// fence drains the node's line after the tag, so the link writes that
+/// line back again: pwb 9 (8 with no fence at all, which let a crash image
+/// hold the link without the tag).
 const QUEUE_LP: [(&str, GoldenCoal); 5] = [
-    ("enqueue-1", (8, 1, 1, 1, 2, 2, true, 1)),
-    ("enqueue-2", (8, 1, 1, 1, 2, 2, true, 1)),
+    ("enqueue-1", (9, 1, 1, 1, 3, 2, true, 1)),
+    ("enqueue-2", (9, 1, 1, 1, 3, 2, true, 1)),
     ("dequeue-1", (8, 1, 1, 1, 2, 3, true, 0)),
     ("dequeue-2", (8, 1, 1, 1, 2, 3, true, 0)),
     ("dequeue-empty", (3, 1, 1, 1, 2, 1, false, 0)),

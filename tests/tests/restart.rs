@@ -35,10 +35,8 @@
 //! `ISB_RESTART_GROWTH_SEEDS` (default 12) instead, so smoke runs can
 //! shrink the main matrix without starving the growth-window assert.
 
-use isb::hashmap::RHashMap;
-use isb::recovery::Recovered;
+use isb::recovery::{AttachSummary, Recovered};
 use isb::store::Store;
-use nvm::MappedNvm;
 use std::collections::{HashMap, VecDeque};
 use std::fs::OpenOptions;
 use std::io::Write;
@@ -47,6 +45,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const SHARDS: usize = 8;
+/// Catalog name of the single-structure legs' map (a one-entry store).
+const MAP: &str = "map";
 const HEAP_BYTES: usize = 16 * 1024 * 1024;
 const WORKERS: usize = 3; // pids 1..=WORKERS, disjoint key ranges
 const KEYS_PER_WORKER: u64 = 1000;
@@ -96,10 +96,8 @@ fn restart_child_worker() {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(HEAP_BYTES);
-    let (map, _summary) =
-        RHashMap::<MappedNvm, 0>::attach_sized(heap_path(&dir), SHARDS, heap_bytes)
-            .expect("child attach");
-    let map = Arc::new(map);
+    let store = Store::open_sized(heap_path(&dir), heap_bytes).expect("child attach");
+    let map = store.hashmap::<0>(MAP, SHARDS).expect("child map");
     // Signal readiness only once the heap is fully created.
     std::fs::write(dir.join("ready"), b"ok").unwrap();
 
@@ -241,9 +239,13 @@ fn run_one_seed_with(seed: u64, heap_bytes: usize, kill_after: Duration) -> (u64
 
     // Re-attach FROM THIS PROCESS and recover.
     nvm::tid::set_tid(0);
-    let (mut map, summary) =
-        RHashMap::<MappedNvm, 0>::attach_sized(heap_path(&dir), SHARDS, heap_bytes)
-            .unwrap_or_else(|e| panic!("seed {seed}: parent attach failed: {e}"));
+    let store = Store::open_sized(heap_path(&dir), heap_bytes)
+        .unwrap_or_else(|e| panic!("seed {seed}: parent attach failed: {e}"));
+    let map = store.hashmap::<0>(MAP, SHARDS).unwrap();
+    let s = store.summary();
+    let summary = AttachSummary { heap: s.heap, recovered: s.recovered.clone(), swept: s.swept };
+    drop(store);
+    let mut map = Arc::into_inner(map).expect("the store held the only other handle");
 
     let mut union: HashMap<u64, u64> = HashMap::new();
     let mut acked_ops = 0u64;
@@ -748,8 +750,17 @@ fn reattach_is_idempotent() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let path = heap_path(&dir);
+    // Opens the one-entry store and hands back the sole map handle with
+    // what the attach reported (poisoned blocks, swept blocks).
+    let open = || {
+        let store = Store::open_sized(&path, HEAP_BYTES).unwrap();
+        let map = store.hashmap::<0>(MAP, SHARDS).unwrap();
+        let report = (store.summary().heap.poisoned, store.summary().swept);
+        drop(store);
+        (Arc::into_inner(map).expect("the store held the only other handle"), report)
+    };
     {
-        let (map, _) = RHashMap::<MappedNvm, 0>::attach_sized(&path, SHARDS, HEAP_BYTES).unwrap();
+        let (map, _) = open();
         for k in 1..=300u64 {
             assert!(map.insert(0, k));
         }
@@ -758,15 +769,14 @@ fn reattach_is_idempotent() {
         }
     }
     let keys1 = {
-        let (mut map, s) =
-            RHashMap::<MappedNvm, 0>::attach_sized(&path, SHARDS, HEAP_BYTES).unwrap();
-        assert_eq!(s.heap.poisoned, 0, "clean detach left torn blocks");
+        let (mut map, (poisoned, _)) = open();
+        assert_eq!(poisoned, 0, "clean detach left torn blocks");
         map.check_invariants();
         map.snapshot_keys()
     };
-    let (mut map, s) = RHashMap::<MappedNvm, 0>::attach_sized(&path, SHARDS, HEAP_BYTES).unwrap();
-    assert_eq!(s.heap.poisoned, 0);
-    assert_eq!(s.swept, 0, "second attach must have nothing left to sweep");
+    let (mut map, (poisoned, swept)) = open();
+    assert_eq!(poisoned, 0);
+    assert_eq!(swept, 0, "second attach must have nothing left to sweep");
     map.check_invariants();
     assert_eq!(map.snapshot_keys(), keys1, "re-attach changed the contents");
     assert_eq!(keys1, (2..=300).step_by(2).collect::<Vec<u64>>());
